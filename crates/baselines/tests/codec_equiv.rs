@@ -3,8 +3,9 @@
 //! Greedy and hygienic both declare packed codecs (2-bit phases; 3-bit
 //! fork variables) and equivariance, so they are explored packed by
 //! default and are eligible for symmetry reduction. The suites here
-//! verify the codec injectivity contract from randomly corrupted states
-//! and the verdict-equivalence of the symmetry quotient.
+//! verify the codec injectivity contract from randomly corrupted states,
+//! the verdict-equivalence of the symmetry quotient, and the packed search
+//! against the reference BFS of the sim crate's test tree.
 
 use diners_baselines::{ForkVar, GreedyDiners, HygienicDiners};
 use diners_sim::algorithm::{Phase, SystemState};
@@ -13,6 +14,11 @@ use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig, Limits
 use diners_sim::fault::Health;
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::predicate::Snapshot;
+
+#[path = "../../sim/tests/support/reference_bfs.rs"]
+mod reference_bfs;
+
+use reference_bfs::reference_bfs;
 
 fn families() -> Vec<Topology> {
     vec![
@@ -83,8 +89,8 @@ fn exclusion_greedy(snap: &Snapshot<'_, GreedyDiners>) -> bool {
 fn run<A, F>(alg: &A, topo: &Topology, safety: F, reduction: Reduction) -> ExplorationReport
 where
     A: diners_sim::codec::StateCodec + Sync,
-    A::Local: std::hash::Hash + Eq + Send + Sync,
-    A::Edge: std::hash::Hash + Eq + Send + Sync,
+    A::Local: Sync,
+    A::Edge: Sync,
     F: Fn(&Snapshot<'_, A>) -> bool,
 {
     let n = topo.len();
@@ -144,18 +150,56 @@ fn hygienic_symmetry_quotient_agrees_and_shrinks() {
 }
 
 #[test]
-fn greedy_violation_traces_agree_between_representations() {
-    // "p0 never eats" is *not* symmetric, so only Packed-vs-None
-    // comparison is legitimate here — and they must be bit-identical.
+fn greedy_violation_traces_agree_with_the_reference_bfs() {
+    // "p0 never eats" is *not* symmetric, so only the unreduced packed
+    // search is comparable here — and it must be bit-identical.
     let p0_eats =
         |snap: &Snapshot<'_, GreedyDiners>| *snap.state.local(ProcessId(0)) != Phase::Eating;
     let topo = Topology::ring(5);
-    let cloned = run(&GreedyDiners, &topo, p0_eats, Reduction::None);
+    let reference = reference_bfs(
+        &GreedyDiners,
+        &topo,
+        SystemState::initial(&GreedyDiners, &topo),
+        &[Health::Live; 5],
+        &[true; 5],
+        p0_eats,
+        Limits::default(),
+    );
     let packed = run(&GreedyDiners, &topo, p0_eats, Reduction::Packed);
-    assert!(cloned.violation.is_some());
-    assert_eq!(cloned.violation, packed.violation);
-    assert_eq!(cloned.states, packed.states);
-    assert_eq!(cloned.transitions, packed.transitions);
+    assert!(reference.violation.is_some());
+    reference.assert_matches(&packed, "greedy ring(5)");
+}
+
+#[test]
+fn hygienic_packed_search_is_bit_identical_to_the_reference_bfs() {
+    // ring(5) is T14's full-size hygienic case (121,200 states).
+    let exclusion = |snap: &Snapshot<'_, HygienicDiners>| {
+        snap.topo.edges().iter().all(|&(a, b)| {
+            !(*snap.state.local(a) == Phase::Eating && *snap.state.local(b) == Phase::Eating)
+        })
+    };
+    for topo in [Topology::line(4), Topology::ring(4), Topology::ring(5)] {
+        let n = topo.len();
+        let reference = reference_bfs(
+            &HygienicDiners,
+            &topo,
+            SystemState::initial(&HygienicDiners, &topo),
+            &vec![Health::Live; n],
+            &vec![true; n],
+            exclusion,
+            Limits::default(),
+        );
+        let packed = run(&HygienicDiners, &topo, exclusion, Reduction::Packed);
+        assert!(reference.verified(), "{}", topo.name());
+        reference.assert_matches(&packed, topo.name());
+        assert!(
+            packed.bytes_interned * 4 <= reference.cloned_bytes(),
+            "{}: packed {} vs cloned {} bytes",
+            topo.name(),
+            packed.bytes_interned,
+            reference.cloned_bytes()
+        );
+    }
 }
 
 /// Width-fit audit for the baseline codecs: every value of the

@@ -1,5 +1,5 @@
 //! Codec and symmetry micro-benchmarks: encode/decode round-trip cost,
-//! canonicalization cost, and full packed vs cloned explorations.
+//! canonicalization cost, and full packed explorations.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -70,29 +70,27 @@ fn explore_representations(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("explore-toy-ring10-repr");
     group.sample_size(10);
-    for (label, reduction) in [("cloned", Reduction::None), ("packed", Reduction::Packed)] {
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let initial = SystemState::initial(&ToyDiners, &topo);
-                black_box(
-                    explore_with(
-                        &ToyDiners,
-                        &topo,
-                        initial,
-                        &health,
-                        &needs,
-                        safety,
-                        ExploreConfig {
-                            limits: Limits::default(),
-                            reduction,
-                            threads: 1,
-                        },
-                    )
-                    .states,
+    group.bench_function("packed", |b| {
+        b.iter(|| {
+            let initial = SystemState::initial(&ToyDiners, &topo);
+            black_box(
+                explore_with(
+                    &ToyDiners,
+                    &topo,
+                    initial,
+                    &health,
+                    &needs,
+                    safety,
+                    ExploreConfig {
+                        limits: Limits::default(),
+                        reduction: Reduction::Packed,
+                        threads: 1,
+                    },
                 )
-            });
+                .states,
+            )
         });
-    }
+    });
     group.finish();
 }
 

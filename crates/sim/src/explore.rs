@@ -19,17 +19,16 @@
 //! candidate against the states already interned in that fingerprint's
 //! bucket, so deduplication is exact, not probabilistic.
 //!
-//! The visited set itself comes in three flavours ([`Reduction`]):
+//! The visited set is always a flat `Vec<u64>` arena of fixed-stride
+//! bit-packed states ([`crate::codec`]): a successor is its parent's words
+//! with the move's writes patched in, and states are decoded only for
+//! safety checks. [`Reduction`] chooses what the arena deduplicates:
 //!
-//! * [`Reduction::None`] — the arena stores full cloned [`SystemState`]s
-//!   (the historical baseline, kept for differential testing and for
-//!   algorithms without a codec-friendly representation).
-//! * [`Reduction::Packed`] (the default) — the arena is a flat `Vec<u64>`
-//!   of fixed-stride bit-packed states ([`crate::codec`]); states are
-//!   decoded only on collision compare, safety checks and trace rebuild.
-//!   Discovery order and dedup decisions are representation-independent,
-//!   so every report field except the memory accounting is identical to
-//!   `None`'s.
+//! * [`Reduction::Packed`] (the default) — one entry per reachable state.
+//!   Discovery order, counts, deadlocks, violation trace and truncation
+//!   point are exactly those of a plain FIFO BFS over cloned states; the
+//!   test tree keeps such a BFS (`crates/sim/tests/support/reference_bfs.rs`)
+//!   as the differential oracle.
 //! * [`Reduction::Symmetry`] — additionally dedups by *canonical form*
 //!   under the topology's automorphism subgroup ([`crate::symmetry`]),
 //!   storing one representative per orbit. Sound only for equivariant
@@ -56,7 +55,6 @@
 //! well-defined: each process either always or never "needs" to eat
 //! (the per-process `needs` mask).
 
-use std::hash::Hash;
 use std::time::{Duration, Instant};
 
 use crossbeam::{channel, thread};
@@ -64,7 +62,7 @@ use crossbeam::{channel, thread};
 use crate::algorithm::{Algorithm, Move, SystemState, View, Write};
 use crate::codec::{Codec, StateCodec};
 use crate::fault::Health;
-use crate::fingerprint::{fingerprint, fingerprint_words, FingerprintMap};
+use crate::fingerprint::{fingerprint_words, FingerprintMap};
 use crate::graph::Topology;
 use crate::predicate::Snapshot;
 use crate::symmetry::{canonicalize_into, Perm, SymmetryGroup};
@@ -84,13 +82,11 @@ impl Default for Limits {
     }
 }
 
-/// How the visited set stores and deduplicates states. See the
-/// [module docs](self) for the trade-offs and soundness conditions.
+/// What the packed visited set deduplicates. See the [module docs](self)
+/// for the soundness conditions.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Reduction {
-    /// Full cloned states (baseline).
-    None,
-    /// Bit-packed states in a flat arena (default).
+    /// One entry per reachable state (default).
     #[default]
     Packed,
     /// Packed, plus orbit dedup under the topology's automorphism
@@ -103,7 +99,7 @@ pub enum Reduction {
 pub struct ExploreConfig {
     /// Exploration bounds.
     pub limits: Limits,
-    /// Visited-set representation.
+    /// What the visited set deduplicates.
     pub reduction: Reduction,
     /// Worker threads for frontier expansion: `0` = one per available
     /// core; values above the available parallelism are clamped down, so
@@ -140,9 +136,7 @@ pub struct ExplorationReport {
     /// Successor states already interned when reached again (dedup
     /// rate = `dedup_hits / transitions`).
     pub dedup_hits: u64,
-    /// Bytes held by the visited-set arena at termination: exact packed
-    /// words under `Packed`/`Symmetry`, a per-state heap estimate under
-    /// `None`.
+    /// Bytes held by the packed visited-set arena at termination.
     pub bytes_interned: usize,
     /// High-water mark of simultaneously materialized states: interned
     /// states plus the largest batch of successor candidates held during
@@ -232,19 +226,11 @@ fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Heap bytes one cloned state occupies in the `Reduction::None` arena
-/// (struct + its two vectors' payloads; allocator slack not counted).
-fn cloned_state_bytes<A: Algorithm>(topo: &Topology) -> usize {
-    std::mem::size_of::<SystemState<A>>()
-        + topo.len() * std::mem::size_of::<A::Local>()
-        + topo.edge_count() * std::mem::size_of::<A::Edge>()
-}
-
 /// Exhaustively explore the reachable state space of `alg` on `topo`
 /// from `initial` with the given health vector and per-process `needs`
-/// mask, checking `safety` in every reachable state. Sequential, using
-/// the default [`Reduction::Packed`] representation; see [`explore_with`]
-/// for the full configuration surface.
+/// mask, checking `safety` in every reachable state. This is
+/// [`explore_with`] at the default [`Reduction::Packed`] and
+/// `threads: 1`, without the `Sync` bounds only worker threads need.
 ///
 /// # Panics
 ///
@@ -260,8 +246,6 @@ pub fn explore<A, F>(
 ) -> ExplorationReport
 where
     A: StateCodec,
-    A::Local: Hash + Eq,
-    A::Edge: Hash + Eq,
     F: Fn(&Snapshot<'_, A>) -> bool,
 {
     assert_eq!(needs.len(), topo.len(), "needs mask size mismatch");
@@ -273,9 +257,7 @@ where
         health,
         needs,
         safety,
-        Limits {
-            max_states: limits.max_states,
-        },
+        limits,
         Reduction::Packed,
     )
 }
@@ -303,8 +285,8 @@ pub fn explore_parallel<A, F>(
 ) -> ExplorationReport
 where
     A: StateCodec + Sync,
-    A::Local: Hash + Eq + Send + Sync,
-    A::Edge: Hash + Eq + Send + Sync,
+    A::Local: Sync,
+    A::Edge: Sync,
     F: Fn(&Snapshot<'_, A>) -> bool,
 {
     explore_with(
@@ -322,8 +304,8 @@ where
     )
 }
 
-/// Fully configurable exploration: representation ([`Reduction`]),
-/// bounds and thread count in one [`ExploreConfig`].
+/// Fully configurable exploration: [`Reduction`], bounds and thread count
+/// in one [`ExploreConfig`].
 ///
 /// Under [`Reduction::Symmetry`] the caller asserts that the safety
 /// predicate is *symmetric* (invariant under the topology's automorphism
@@ -346,8 +328,8 @@ pub fn explore_with<A, F>(
 ) -> ExplorationReport
 where
     A: StateCodec + Sync,
-    A::Local: Hash + Eq + Send + Sync,
-    A::Edge: Hash + Eq + Send + Sync,
+    A::Local: Sync,
+    A::Edge: Sync,
     F: Fn(&Snapshot<'_, A>) -> bool,
 {
     assert_eq!(needs.len(), topo.len(), "needs mask size mismatch");
@@ -365,33 +347,19 @@ where
             config.reduction,
         );
     }
-    match config.reduction {
-        Reduction::None => run_parallel_cloned(
-            alg,
-            topo,
-            initial,
-            health,
-            needs,
-            safety,
-            config.limits,
-            threads,
-        ),
-        Reduction::Packed | Reduction::Symmetry => {
-            let codec = Codec::new(alg, topo);
-            let group = effective_group(alg, topo, needs, health, config.reduction);
-            run_parallel_packed(
-                alg,
-                &codec,
-                &group,
-                initial,
-                health,
-                needs,
-                safety,
-                config.limits,
-                threads,
-            )
-        }
-    }
+    let codec = Codec::new(alg, topo);
+    let group = effective_group(alg, topo, needs, health, config.reduction);
+    run_parallel_packed(
+        alg,
+        &codec,
+        &group,
+        initial,
+        health,
+        needs,
+        safety,
+        config.limits,
+        threads,
+    )
 }
 
 /// The symmetry group actually used for a reduction mode: trivial unless
@@ -425,111 +393,24 @@ fn run_sequential<A, F>(
 ) -> ExplorationReport
 where
     A: StateCodec,
-    A::Local: Hash + Eq,
-    A::Edge: Hash + Eq,
     F: Fn(&Snapshot<'_, A>) -> bool,
 {
-    match reduction {
-        Reduction::None => search_loop_cloned(
-            topo,
-            initial,
-            health,
-            safety,
-            limits,
-            1,
-            |frontier, states| {
-                frontier
-                    .iter()
-                    .map(|&i| expand_state(alg, topo, states, i, health, needs))
-                    .collect()
-            },
-        ),
-        Reduction::Packed | Reduction::Symmetry => {
-            let codec = Codec::new(alg, topo);
-            let group = effective_group(alg, topo, needs, health, reduction);
-            let template = initial.clone();
-            let mut expander = PackedExpander::new(alg, &codec, &group, health, needs, template);
-            search_loop_packed(
-                &codec,
-                &group,
-                initial,
-                health,
-                safety,
-                limits,
-                1,
-                |frontier, arena| {
-                    frontier
-                        .iter()
-                        .map(|&i| expander.expand(arena, i))
-                        .collect()
-                },
-            )
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_parallel_cloned<A, F>(
-    alg: &A,
-    topo: &Topology,
-    initial: SystemState<A>,
-    health: &[Health],
-    needs: &[bool],
-    safety: F,
-    limits: Limits,
-    threads: usize,
-) -> ExplorationReport
-where
-    A: Algorithm + Sync,
-    A::Local: Hash + Eq + Send + Sync,
-    A::Edge: Hash + Eq + Send + Sync,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-{
-    search_loop_cloned(
-        topo,
+    let codec = Codec::new(alg, topo);
+    let group = effective_group(alg, topo, needs, health, reduction);
+    let template = initial.clone();
+    let mut expander = PackedExpander::new(alg, &codec, &group, health, needs, template);
+    search_loop_packed(
+        &codec,
+        &group,
         initial,
         health,
         safety,
         limits,
-        threads,
-        |frontier, states| {
-            // Tiny frontiers aren't worth the spawn cost; expand inline.
-            // (Same results either way — only the wall-clock differs.)
-            if frontier.len() < threads * 4 {
-                return frontier
-                    .iter()
-                    .map(|&i| expand_state(alg, topo, states, i, health, needs))
-                    .collect();
-            }
-            let chunk_size = frontier.len().div_ceil(threads);
-            let nchunks = frontier.len().div_ceil(chunk_size);
-            let (tx, rx) = channel::unbounded();
-            let parts = thread::scope(|s| {
-                for (ci, chunk) in frontier.chunks(chunk_size).enumerate() {
-                    let tx = tx.clone();
-                    s.spawn(move |_| {
-                        let out: Vec<Expansion<A>> = chunk
-                            .iter()
-                            .map(|&i| expand_state(alg, topo, states, i, health, needs))
-                            .collect();
-                        // The receiver outlives the scope; send can't fail
-                        // unless the merge side already panicked.
-                        let _ = tx.send((ci, out));
-                    });
-                }
-                drop(tx);
-                let mut parts: Vec<Option<Vec<Expansion<A>>>> =
-                    (0..nchunks).map(|_| None).collect();
-                while let Ok((ci, out)) = rx.recv() {
-                    parts[ci] = Some(out);
-                }
-                parts
-            })
-            .expect("explore worker panicked");
-            // Reassemble in shard order: identical to sequential expansion.
-            parts
-                .into_iter()
-                .flat_map(|p| p.expect("missing shard result"))
+        1,
+        |frontier, arena| {
+            frontier
+                .iter()
+                .map(|&i| expander.expand(arena, i))
                 .collect()
         },
     )
@@ -549,10 +430,11 @@ fn run_parallel_packed<A, F>(
 ) -> ExplorationReport
 where
     A: StateCodec + Sync,
-    A::Local: Hash + Eq + Send + Sync,
-    A::Edge: Hash + Eq + Send + Sync,
+    A::Local: Sync,
+    A::Edge: Sync,
     F: Fn(&Snapshot<'_, A>) -> bool,
 {
+    // Each worker clones the shared template into its own expander.
     let template = initial.clone();
     // Inline expander for frontiers too small to shard.
     let mut inline = PackedExpander::new(alg, codec, group, health, needs, template.clone());
@@ -565,6 +447,8 @@ where
         limits,
         threads,
         |frontier, arena| {
+            // Tiny frontiers aren't worth the spawn cost; expand inline.
+            // (Same results either way — only the wall-clock differs.)
             if frontier.len() < threads * 4 {
                 return frontier.iter().map(|&i| inline.expand(arena, i)).collect();
             }
@@ -580,6 +464,8 @@ where
                             PackedExpander::new(alg, codec, group, health, needs, template.clone());
                         let out: Vec<PackedExpansion> =
                             chunk.iter().map(|&i| expander.expand(arena, i)).collect();
+                        // The receiver outlives the scope; send can't fail
+                        // unless the merge side already panicked.
                         let _ = tx.send((ci, out));
                     });
                 }
@@ -592,44 +478,13 @@ where
                 parts
             })
             .expect("explore worker panicked");
+            // Reassemble in shard order: identical to sequential expansion.
             parts
                 .into_iter()
                 .flat_map(|p| p.expect("missing shard result"))
                 .collect()
         },
     )
-}
-
-/// All successors of one frontier state: the enabled moves applied, with
-/// each successor's fingerprint precomputed (in the worker, when
-/// parallel). An empty `succs` marks a deadlock state.
-struct Expansion<A: Algorithm> {
-    parent: usize,
-    succs: Vec<(Move, SystemState<A>, u64)>,
-}
-
-fn expand_state<A: Algorithm>(
-    alg: &A,
-    topo: &Topology,
-    states: &[SystemState<A>],
-    idx: usize,
-    health: &[Health],
-    needs: &[bool],
-) -> Expansion<A>
-where
-    A::Local: Hash,
-    A::Edge: Hash,
-{
-    let state = &states[idx];
-    let succs = enabled_moves(alg, topo, state, health, needs)
-        .into_iter()
-        .map(|mv| {
-            let next = apply(alg, topo, state, mv, needs);
-            let fp = fingerprint_state(&next);
-            (mv, next, fp)
-        })
-        .collect();
-    Expansion { parent: idx, succs }
 }
 
 /// Successors of one packed frontier state. `words` holds the packed
@@ -744,97 +599,12 @@ impl<'a, A: StateCodec> PackedExpander<'a, A> {
     }
 }
 
-/// The layered BFS driver for the cloned-state (`Reduction::None`)
-/// representation. `expand_layer` turns a frontier (indices into the
-/// state arena) into one `Expansion` per frontier state, *in frontier
-/// order*; the merge below is sequential either way, which is what makes
-/// the sequential and parallel searches produce identical reports.
-fn search_loop_cloned<A, F, E>(
-    topo: &Topology,
-    initial: SystemState<A>,
-    health: &[Health],
-    safety: F,
-    limits: Limits,
-    threads: usize,
-    mut expand_layer: E,
-) -> ExplorationReport
-where
-    A: Algorithm,
-    A::Local: Hash + Eq,
-    A::Edge: Hash + Eq,
-    F: Fn(&Snapshot<'_, A>) -> bool,
-    E: FnMut(&[usize], &[SystemState<A>]) -> Vec<Expansion<A>>,
-{
-    let start = Instant::now();
-    let mut report = empty_report(threads);
-    let per_state = cloned_state_bytes::<A>(topo);
-
-    let check = |state: &SystemState<A>| -> bool {
-        let snap = Snapshot::new(topo, state, health);
-        safety(&snap)
-    };
-
-    if !check(&initial) {
-        report.states = 1;
-        report.peak_states = 1;
-        report.bytes_interned = per_state;
-        report.violation = Some(Vec::new());
-        report.elapsed = start.elapsed();
-        return report;
-    }
-
-    let mut search = Search::new();
-    let fp = fingerprint_state(&initial);
-    search.intern(initial, fp, None);
-    report.peak_states = 1;
-    let mut frontier = vec![0usize];
-
-    'bfs: while !frontier.is_empty() {
-        // Per-layer stats run in the sequential merge, so the sequential
-        // and parallel paths populate them identically.
-        report.layers += 1;
-        report.peak_frontier = report.peak_frontier.max(frontier.len());
-        let expansions = expand_layer(&frontier, &search.states);
-        let in_flight: usize = expansions.iter().map(|e| e.succs.len()).sum();
-        report.peak_states = report.peak_states.max(search.states.len() + in_flight);
-        let mut next_frontier = Vec::new();
-        for exp in expansions {
-            if exp.succs.is_empty() {
-                report.deadlocks += 1;
-                continue;
-            }
-            for (mv, next, fp) in exp.succs {
-                report.transitions += 1;
-                let (idx, is_new) = search.intern(next, fp, Some((exp.parent, mv)));
-                if !is_new {
-                    report.dedup_hits += 1;
-                    continue;
-                }
-                if !check(&search.states[idx]) {
-                    report.violation = Some(rebuild_trace(&search.parents, idx));
-                    break 'bfs;
-                }
-                if search.states.len() >= limits.max_states {
-                    report.truncated = true;
-                    break 'bfs;
-                }
-                next_frontier.push(idx);
-            }
-        }
-        frontier = next_frontier;
-    }
-
-    report.states = search.states.len();
-    report.bytes_interned = search.states.len() * per_state;
-    report.peak_states = report.peak_states.max(report.states);
-    report.elapsed = start.elapsed();
-    report
-}
-
-/// The layered BFS driver for the packed representations. Same merge
-/// discipline as [`search_loop_cloned`]; the arena is a flat fixed-stride
-/// `Vec<u64>` and states are only decoded for the safety check (and on
-/// fingerprint collisions, inside `intern`'s window compare).
+/// The layered BFS driver. `expand_layer` turns a frontier (indices into
+/// the packed arena) into one [`PackedExpansion`] per frontier state, *in
+/// frontier order*; the merge below is sequential either way, which is
+/// what makes the sequential and parallel searches produce identical
+/// reports. States are decoded only for the safety check; dedup compares
+/// packed windows.
 #[allow(clippy::too_many_arguments)]
 fn search_loop_packed<A, F, E>(
     codec: &Codec<'_, A>,
@@ -890,6 +660,8 @@ where
     let mut frontier = vec![0usize];
 
     'bfs: while !frontier.is_empty() {
+        // Per-layer stats run in the sequential merge, so the sequential
+        // and parallel paths populate them identically.
         report.layers += 1;
         report.peak_frontier = report.peak_frontier.max(frontier.len());
         let expansions = expand_layer(&frontier, &search.words);
@@ -929,53 +701,6 @@ where
     report.peak_states = report.peak_states.max(report.states);
     report.elapsed = start.elapsed();
     report
-}
-
-/// The visited set for [`Reduction::None`]: a cloned-state arena plus a
-/// fingerprint index into it.
-struct Search<A: Algorithm> {
-    /// fingerprint -> indices of interned states with that fingerprint.
-    ids: FingerprintMap<Vec<usize>>,
-    /// (parent index, move from parent) per state, for trace rebuild.
-    parents: Vec<Option<(usize, Move)>>,
-    states: Vec<SystemState<A>>,
-}
-
-impl<A: Algorithm> Search<A>
-where
-    A::Local: Eq,
-    A::Edge: Eq,
-{
-    fn new() -> Self {
-        Search {
-            ids: FingerprintMap::default(),
-            parents: Vec::new(),
-            states: Vec::new(),
-        }
-    }
-
-    /// Intern `next` under fingerprint `fp`: returns its arena index and
-    /// whether it was new. Collisions are resolved exactly, by comparing
-    /// against every state already in the fingerprint's bucket.
-    fn intern(
-        &mut self,
-        next: SystemState<A>,
-        fp: u64,
-        parent: Option<(usize, Move)>,
-    ) -> (usize, bool) {
-        let bucket = self.ids.entry(fp).or_default();
-        for &i in bucket.iter() {
-            let s = &self.states[i];
-            if s.locals() == next.locals() && s.edges() == next.edges() {
-                return (i, false);
-            }
-        }
-        let idx = self.states.len();
-        bucket.push(idx);
-        self.parents.push(parent);
-        self.states.push(next);
-        (idx, true)
-    }
 }
 
 /// The visited set for the packed representations: a flat fixed-stride
@@ -1028,14 +753,6 @@ impl PackedSearch {
         self.words.extend_from_slice(cand);
         (idx, true)
     }
-}
-
-fn fingerprint_state<A: Algorithm>(state: &SystemState<A>) -> u64
-where
-    A::Local: Hash,
-    A::Edge: Hash,
-{
-    fingerprint(&(state.locals(), state.edges()))
 }
 
 pub(crate) fn enabled_moves<A: Algorithm>(
@@ -1105,16 +822,6 @@ pub(crate) fn apply<A: Algorithm>(
         }
     }
     next
-}
-
-fn rebuild_trace(parents: &[Option<(usize, Move)>], mut idx: usize) -> Vec<Move> {
-    let mut trace = Vec::new();
-    while let Some((parent, mv)) = parents[idx] {
-        trace.push(mv);
-        idx = parent;
-    }
-    trace.reverse();
-    trace
 }
 
 /// Rehydrate a violation trace from a packed (possibly symmetry-reduced)
@@ -1308,25 +1015,6 @@ mod tests {
     }
 
     #[test]
-    fn interning_resolves_forced_fingerprint_collisions() {
-        let topo = Topology::line(2);
-        let mut search: Search<ToyDiners> = Search::new();
-        let a = SystemState::initial(&ToyDiners, &topo);
-        let mut b = SystemState::initial(&ToyDiners, &topo);
-        *b.local_mut(ProcessId(0)) = Phase::Hungry;
-        // Force both distinct states into the same bucket: interning must
-        // still tell them apart by full-state comparison.
-        let (ia, new_a) = search.intern(a.clone(), 42, None);
-        let (ib, new_b) = search.intern(b, 42, None);
-        assert!(new_a && new_b);
-        assert_ne!(ia, ib);
-        let (ia2, new_a2) = search.intern(a, 42, None);
-        assert_eq!(ia2, ia);
-        assert!(!new_a2, "re-interning an existing state is a no-op");
-        assert_eq!(search.states.len(), 2);
-    }
-
-    #[test]
     fn packed_interning_resolves_forced_fingerprint_collisions() {
         let mut search = PackedSearch::new(1);
         let (ia, new_a) = search.intern(&[3], 42, None, 0);
@@ -1517,66 +1205,6 @@ mod tests {
             Limits::default(),
         );
         assert_same_search(&seq, &par);
-    }
-
-    #[test]
-    fn packed_matches_cloned_baseline_exactly() {
-        // Reduction::Packed changes only the representation: every
-        // search-shaped report field must equal the cloned baseline's.
-        let topo = Topology::ring(5);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let run = |reduction| {
-            explore_with(
-                &ToyDiners,
-                &topo,
-                initial.clone(),
-                &live(5),
-                &[true; 5],
-                exclusion,
-                ExploreConfig {
-                    reduction,
-                    ..ExploreConfig::default()
-                },
-            )
-        };
-        let cloned = run(Reduction::None);
-        let packed = run(Reduction::Packed);
-        assert_same_search(&cloned, &packed);
-        assert!(
-            packed.bytes_interned * 4 <= cloned.bytes_interned,
-            "packed arena ({}) must be ≥4x smaller than cloned ({})",
-            packed.bytes_interned,
-            cloned.bytes_interned
-        );
-    }
-
-    #[test]
-    fn packed_matches_cloned_on_violation_traces() {
-        let nobody_eats = |snap: &Snapshot<'_, ToyDiners>| {
-            snap.topo
-                .processes()
-                .all(|p| *snap.state.local(p) != Phase::Eating)
-        };
-        let topo = Topology::line(4);
-        let initial = SystemState::initial(&ToyDiners, &topo);
-        let run = |reduction| {
-            explore_with(
-                &ToyDiners,
-                &topo,
-                initial.clone(),
-                &live(4),
-                &[true; 4],
-                nobody_eats,
-                ExploreConfig {
-                    reduction,
-                    ..ExploreConfig::default()
-                },
-            )
-        };
-        let cloned = run(Reduction::None);
-        let packed = run(Reduction::Packed);
-        assert!(cloned.violation.is_some());
-        assert_same_search(&cloned, &packed);
     }
 
     #[test]

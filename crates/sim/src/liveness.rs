@@ -78,11 +78,10 @@ use crate::symmetry::{canonicalize_into, permute_packed, Perm, SymmetryGroup};
 pub struct LivenessConfig {
     /// Exploration bounds (shared with the safety explorer).
     pub limits: Limits,
-    /// Visited-set representation. [`Reduction::None`] is promoted to
-    /// [`Reduction::Packed`] — the lasso search always runs on the
-    /// packed arena; [`Reduction::Symmetry`] additionally quotients by
-    /// the topology's automorphisms (equivariant algorithms only, same
-    /// contract as the explorer).
+    /// What the packed arena deduplicates, as for the safety explorer:
+    /// [`Reduction::Packed`] keeps one entry per reachable state, and
+    /// [`Reduction::Symmetry`] quotients by the topology's automorphisms
+    /// (equivariant algorithms only, same contract as the explorer).
     pub reduction: Reduction,
 }
 
@@ -240,10 +239,6 @@ where
         topo.len() <= 64,
         "liveness checking tracks process sets in u64 masks (n <= 64)"
     );
-    let reduction = match config.reduction {
-        Reduction::None => Reduction::Packed,
-        r => r,
-    };
     let mut roots = initials.into_iter().enumerate();
     match run(
         alg,
@@ -253,7 +248,7 @@ where
         needs,
         &legit,
         config.limits,
-        reduction,
+        config.reduction,
     ) {
         Ok(report) => report,
         Err(fallback_roots) => {

@@ -2,10 +2,11 @@
 //!
 //! [`Reduction::Packed`] is a pure representation change: the packed
 //! search must produce a **bit-identical report** (states, transitions,
-//! deadlocks, layers, dedup, violation trace, truncation point) to the
-//! cloned-state baseline, on every algorithm × topology family. The
-//! suites here sweep that equivalence, plus codec round-trips from
-//! randomly corrupted states.
+//! deadlocks, layers, peak frontier, dedup, violation trace, truncation
+//! point) to the cloned-state reference BFS in `support/reference_bfs.rs`,
+//! on every algorithm × topology family (and, on the toy sweep, in at most
+//! a quarter of the cloned bytes). The suites here sweep that
+//! equivalence, plus codec round-trips from randomly corrupted states.
 //!
 //! [`Reduction::Symmetry`] changes the *quotient* that is explored, so
 //! only verdicts are comparable: verified / violation-found / truncated
@@ -22,6 +23,11 @@ use diners_sim::fault::Health;
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::predicate::Snapshot;
 use diners_sim::toy::ToyDiners;
+
+#[path = "support/reference_bfs.rs"]
+mod reference_bfs;
+
+use reference_bfs::reference_bfs;
 
 fn live(n: usize) -> Vec<Health> {
     vec![Health::Live; n]
@@ -40,8 +46,8 @@ fn run<A, F>(
 ) -> ExplorationReport
 where
     A: StateCodec + Sync,
-    A::Local: std::hash::Hash + Eq + Send + Sync,
-    A::Edge: std::hash::Hash + Eq + Send + Sync,
+    A::Local: Sync,
+    A::Edge: Sync,
     F: Fn(&Snapshot<'_, A>) -> bool,
 {
     explore_with(
@@ -59,19 +65,16 @@ where
     )
 }
 
-/// Packed vs cloned must agree on every search-shaped field.
-fn assert_bit_identical(cloned: &ExplorationReport, packed: &ExplorationReport, ctx: &str) {
-    assert_eq!(cloned.states, packed.states, "{ctx}: states");
-    assert_eq!(cloned.transitions, packed.transitions, "{ctx}: transitions");
-    assert_eq!(cloned.deadlocks, packed.deadlocks, "{ctx}: deadlocks");
-    assert_eq!(cloned.violation, packed.violation, "{ctx}: violation");
-    assert_eq!(cloned.truncated, packed.truncated, "{ctx}: truncated");
-    assert_eq!(cloned.layers, packed.layers, "{ctx}: layers");
-    assert_eq!(
-        cloned.peak_frontier, packed.peak_frontier,
-        "{ctx}: peak_frontier"
-    );
-    assert_eq!(cloned.dedup_hits, packed.dedup_hits, "{ctx}: dedup_hits");
+/// Two explorer runs must agree on every search-shaped field.
+fn assert_bit_identical(a: &ExplorationReport, b: &ExplorationReport, ctx: &str) {
+    assert_eq!(a.states, b.states, "{ctx}: states");
+    assert_eq!(a.transitions, b.transitions, "{ctx}: transitions");
+    assert_eq!(a.deadlocks, b.deadlocks, "{ctx}: deadlocks");
+    assert_eq!(a.violation, b.violation, "{ctx}: violation");
+    assert_eq!(a.truncated, b.truncated, "{ctx}: truncated");
+    assert_eq!(a.layers, b.layers, "{ctx}: layers");
+    assert_eq!(a.peak_frontier, b.peak_frontier, "{ctx}: peak_frontier");
+    assert_eq!(a.dedup_hits, b.dedup_hits, "{ctx}: dedup_hits");
 }
 
 fn sweep_topologies() -> Vec<Topology> {
@@ -80,6 +83,8 @@ fn sweep_topologies() -> Vec<Topology> {
         Topology::line(4),
         Topology::ring(4),
         Topology::ring(5),
+        Topology::ring(9),
+        Topology::ring(12),
         Topology::star(4),
         Topology::star(5),
         Topology::grid(2, 3),
@@ -87,7 +92,7 @@ fn sweep_topologies() -> Vec<Topology> {
 }
 
 #[test]
-fn packed_is_bit_identical_to_cloned_for_toy_everywhere() {
+fn packed_is_bit_identical_to_reference_for_toy_everywhere() {
     let exclusion = |snap: &Snapshot<'_, ToyDiners>| {
         snap.topo.edges().iter().all(|&(a, b)| {
             !(*snap.state.local(a) == Phase::Eating && *snap.state.local(b) == Phase::Eating)
@@ -96,7 +101,7 @@ fn packed_is_bit_identical_to_cloned_for_toy_everywhere() {
     for topo in sweep_topologies() {
         let n = topo.len();
         let initial = SystemState::initial(&ToyDiners, &topo);
-        let cloned = run(
+        let reference = reference_bfs(
             &ToyDiners,
             &topo,
             initial.clone(),
@@ -104,7 +109,6 @@ fn packed_is_bit_identical_to_cloned_for_toy_everywhere() {
             &vec![true; n],
             exclusion,
             Limits::default(),
-            Reduction::None,
         );
         let packed = run(
             &ToyDiners,
@@ -116,25 +120,61 @@ fn packed_is_bit_identical_to_cloned_for_toy_everywhere() {
             Limits::default(),
             Reduction::Packed,
         );
-        assert!(cloned.verified(), "{}: {cloned:?}", topo.name());
-        assert_bit_identical(&cloned, &packed, topo.name());
+        assert!(reference.verified(), "{}: {reference:?}", topo.name());
+        reference.assert_matches(&packed, topo.name());
         assert!(
-            packed.bytes_interned * 4 <= cloned.bytes_interned,
+            packed.bytes_interned * 4 <= reference.cloned_bytes(),
             "{}: packed {} vs cloned {} bytes",
             topo.name(),
             packed.bytes_interned,
-            cloned.bytes_interned
+            reference.cloned_bytes()
         );
     }
 }
 
 #[test]
-fn packed_is_bit_identical_to_cloned_for_the_paper_algorithm() {
+fn packed_is_bit_identical_to_reference_on_toy_violation_traces() {
+    // Forbid something the toy algorithm does: claim no process ever
+    // eats.
+    let nobody_eats = |snap: &Snapshot<'_, ToyDiners>| {
+        snap.topo
+            .processes()
+            .all(|p| *snap.state.local(p) != Phase::Eating)
+    };
+    for topo in [Topology::line(4), Topology::ring(5), Topology::star(4)] {
+        let n = topo.len();
+        let initial = SystemState::initial(&ToyDiners, &topo);
+        let reference = reference_bfs(
+            &ToyDiners,
+            &topo,
+            initial.clone(),
+            &live(n),
+            &vec![true; n],
+            nobody_eats,
+            Limits::default(),
+        );
+        let packed = run(
+            &ToyDiners,
+            &topo,
+            initial,
+            &live(n),
+            &vec![true; n],
+            nobody_eats,
+            Limits::default(),
+            Reduction::Packed,
+        );
+        assert!(reference.violation.is_some(), "{}", topo.name());
+        reference.assert_matches(&packed, topo.name());
+    }
+}
+
+#[test]
+fn packed_is_bit_identical_to_reference_for_the_paper_algorithm() {
     let alg = MaliciousCrashDiners::paper();
     for topo in [Topology::line(3), Topology::ring(3), Topology::ring(4)] {
         let n = topo.len();
         let initial = SystemState::initial(&alg, &topo);
-        let cloned = run(
+        let reference = reference_bfs(
             &alg,
             &topo,
             initial.clone(),
@@ -142,7 +182,6 @@ fn packed_is_bit_identical_to_cloned_for_the_paper_algorithm() {
             &vec![true; n],
             |_| true,
             Limits::default(),
-            Reduction::None,
         );
         let packed = run(
             &alg,
@@ -154,7 +193,7 @@ fn packed_is_bit_identical_to_cloned_for_the_paper_algorithm() {
             Limits::default(),
             Reduction::Packed,
         );
-        assert_bit_identical(&cloned, &packed, topo.name());
+        reference.assert_matches(&packed, topo.name());
     }
 }
 
@@ -164,7 +203,7 @@ fn packed_agrees_on_truncation_points() {
     let topo = Topology::ring(4);
     let initial = SystemState::initial(&alg, &topo);
     let limits = Limits { max_states: 500 };
-    let cloned = run(
+    let reference = reference_bfs(
         &alg,
         &topo,
         initial.clone(),
@@ -172,7 +211,6 @@ fn packed_agrees_on_truncation_points() {
         &[true; 4],
         |_| true,
         limits,
-        Reduction::None,
     );
     let packed = run(
         &alg,
@@ -184,8 +222,8 @@ fn packed_agrees_on_truncation_points() {
         limits,
         Reduction::Packed,
     );
-    assert!(cloned.truncated);
-    assert_bit_identical(&cloned, &packed, "truncated ring(4)");
+    assert!(reference.truncated);
+    reference.assert_matches(&packed, "truncated ring(4)");
 }
 
 #[test]
@@ -201,7 +239,7 @@ fn packed_agrees_with_a_dead_eater_in_the_mix() {
     initial.local_mut(ProcessId(0)).phase = Phase::Eating;
     let mut health = live(4);
     health[0] = Health::Dead;
-    let cloned = run(
+    let reference = reference_bfs(
         &alg,
         &topo,
         initial.clone(),
@@ -209,7 +247,6 @@ fn packed_agrees_with_a_dead_eater_in_the_mix() {
         &[true; 4],
         |_| true,
         Limits::default(),
-        Reduction::None,
     );
     let packed = run(
         &alg,
@@ -221,7 +258,44 @@ fn packed_agrees_with_a_dead_eater_in_the_mix() {
         Limits::default(),
         Reduction::Packed,
     );
-    assert_bit_identical(&cloned, &packed, "dead eater line(4)");
+    reference.assert_matches(&packed, "dead eater line(4)");
+}
+
+#[test]
+fn packed_is_bit_identical_to_reference_from_corrupted_states() {
+    // Arbitrary depths and priorities enable `fixdepth`, the per-neighbor
+    // action the legitimate starts above never reach, so this case also
+    // pins the slot order of per-neighbor moves.
+    let alg = MaliciousCrashDiners::paper();
+    let mut rng = diners_sim::rng::rng(11);
+    for topo in [Topology::line(3), Topology::ring(4), Topology::star(4)] {
+        let n = topo.len();
+        for round in 0..4 {
+            let mut initial = SystemState::initial(&alg, &topo);
+            initial.corrupt_all(&alg, &topo, &mut rng);
+            let limits = Limits { max_states: 3_000 };
+            let reference = reference_bfs(
+                &alg,
+                &topo,
+                initial.clone(),
+                &live(n),
+                &vec![true; n],
+                |_| true,
+                limits,
+            );
+            let packed = run(
+                &alg,
+                &topo,
+                initial,
+                &live(n),
+                &vec![true; n],
+                |_| true,
+                limits,
+                Reduction::Packed,
+            );
+            reference.assert_matches(&packed, &format!("{} corrupted #{round}", topo.name()));
+        }
+    }
 }
 
 /// Verdict-level agreement for the symmetry quotient: same
