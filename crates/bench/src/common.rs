@@ -88,6 +88,11 @@ pub fn max_opt(samples: &[Option<u64>]) -> Option<u64> {
     Some(best)
 }
 
+/// A gate's failure list: the message of every check that failed.
+pub fn failing<const N: usize>(checks: [Option<String>; N]) -> Vec<String> {
+    checks.into_iter().flatten().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

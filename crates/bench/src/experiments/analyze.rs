@@ -4,7 +4,7 @@
 //! tracer and symmetry reduction rest on (`sim::footprint`).
 //!
 //! Unlike the perf sweeps this experiment's primary output is a
-//! *verdict*: `--check` (the CI gate) fails if any shipped algorithm
+//! *verdict*: its [`gate`] fails if any shipped algorithm
 //! violates a contract, if any declared `respects_symmetry` is refuted,
 //! if toy's pid tie-break is *not* rediscovered with a witness, or if
 //! any deliberately ill-behaved `testbad` fixture escapes refutation.
@@ -16,6 +16,7 @@ use diners_sim::footprint::testbad::{
 };
 use diners_sim::footprint::{analyze, AccessSummary, AnalysisConfig, ContractReport};
 use diners_sim::graph::Topology;
+use diners_sim::json::{self, BenchDoc};
 use diners_sim::table::{fmt_f64, Table};
 use diners_sim::toy::ToyDiners;
 use diners_sim::StateCodec;
@@ -32,25 +33,10 @@ pub struct AnalyzeReport {
     pub footprints: Table,
     /// Negative-control fixtures and the certifier that refuted each.
     pub refutations: Table,
-    /// Human-readable gate failures; empty iff the `--check` gate passes.
+    /// Human-readable contract failures; empty iff the [`gate`] passes.
     pub failures: Vec<String>,
     /// The same content as machine-readable JSON (`BENCH_analysis.json`).
     pub json: String,
-}
-
-/// Minimal JSON string escaping for witness texts.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Compact `own,needs,nbrs,edges` read-set descriptor.
@@ -125,7 +111,7 @@ fn case_json(label: &str, r: &ContractReport) -> String {
         .equivariance
         .witness
         .as_deref()
-        .map(|w| format!("\"{}\"", json_escape(w)))
+        .map(|w| format!("\"{}\"", json::escape(w)))
         .unwrap_or_else(|| "null".to_string());
     format!(
         concat!(
@@ -436,26 +422,19 @@ pub fn run(quick: bool) -> AnalyzeReport {
                 f.fixture,
                 f.certifier,
                 f.refuted,
-                json_escape(&f.witness)
+                json::escape(&f.witness)
             )
         })
         .collect();
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n",
-            "  \"check_failures\": [{}],\n",
-            "  \"cases\": [\n    {}\n  ],\n",
-            "  \"refutations\": [\n    {}\n  ]\n}}\n"
-        ),
-        quick,
-        failures
-            .iter()
-            .map(|f| format!("\"{}\"", json_escape(f)))
-            .collect::<Vec<_>>()
-            .join(","),
-        case_blobs.join(",\n    "),
-        ref_blobs.join(",\n    "),
-    );
+    let check_failures: Vec<String> = failures
+        .iter()
+        .map(|f| format!("\"{}\"", json::escape(f)))
+        .collect();
+    let json = BenchDoc::new(quick)
+        .field("check_failures", format!("[{}]", check_failures.join(",")))
+        .rows("cases", &case_blobs)
+        .rows("refutations", &ref_blobs)
+        .finish();
 
     AnalyzeReport {
         contracts,
@@ -466,9 +445,29 @@ pub fn run(quick: bool) -> AnalyzeReport {
     }
 }
 
+/// The T17 gate: every contract failure the sweep found, at any scale.
+pub fn gate(report: &AnalyzeReport, _quick: bool) -> Vec<String> {
+    report.failures.clone()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gate_fails_on_any_contract_failure() {
+        let table = || Table::new("t", ["x"]);
+        let mut report = AnalyzeReport {
+            contracts: table(),
+            footprints: table(),
+            refutations: table(),
+            failures: Vec::new(),
+            json: String::new(),
+        };
+        assert!(gate(&report, true).is_empty());
+        report.failures.push("toy: locality violated".to_string());
+        assert_eq!(gate(&report, true), report.failures);
+    }
 
     #[test]
     fn quick_sweep_certifies_all_shipped_algorithms() {

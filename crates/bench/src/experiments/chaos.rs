@@ -22,7 +22,7 @@ use diners_sim::table::Table;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::common::{families, Scale};
+use crate::common::{failing, families, Scale};
 
 /// Outcome of a single chaos run.
 #[derive(Clone, Debug)]
@@ -161,14 +161,30 @@ pub fn sweep(scale: &Scale) -> (Table, ChaosTotals) {
     (t, totals)
 }
 
-/// Run the sweep and produce the result table.
-pub fn run(scale: &Scale) -> Table {
-    sweep(scale).0
+/// The T9 gate: no exclusion violation at any step, and nobody starved
+/// once the adversary healed.
+pub fn gate(t: &ChaosTotals, _quick: bool) -> Vec<String> {
+    failing([
+        (t.violations > 0).then(|| format!("{} violation steps", t.violations)),
+        (t.starved > 0).then(|| format!("{} starved after healing", t.starved)),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gate_fails_on_violations_and_starvation() {
+        let mut totals = ChaosTotals {
+            runs: 4,
+            ..ChaosTotals::default()
+        };
+        assert!(gate(&totals, true).is_empty());
+        totals.violations = 1;
+        totals.starved = 2;
+        assert_eq!(gate(&totals, true).len(), 2);
+    }
 
     #[test]
     fn sampled_plans_are_deterministic_and_heal() {

@@ -25,6 +25,7 @@ use diners_sim::codec::StateCodec;
 use diners_sim::explore::{explore_with, ExplorationReport, ExploreConfig, Limits, Reduction};
 use diners_sim::fault::Health;
 use diners_sim::graph::Topology;
+use diners_sim::json::BenchDoc;
 use diners_sim::predicate::Snapshot;
 use diners_sim::table::{fmt_f64, Table};
 use diners_sim::toy::ToyDiners;
@@ -213,16 +214,10 @@ pub fn run(quick: bool) -> CodecReport {
         ));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n",
-            "  \"repr\": [\n    {}\n  ],\n",
-            "  \"symmetry\": [\n    {}\n  ]\n}}\n"
-        ),
-        quick,
-        json_repr.join(",\n    "),
-        json_sym.join(",\n    "),
-    );
+    let json = BenchDoc::new(quick)
+        .rows("repr", &json_repr)
+        .rows("symmetry", &json_sym)
+        .finish();
 
     CodecReport {
         repr: repr_table,

@@ -3,6 +3,8 @@
 use diners_core::figures::{run_figure2, Figure2Report};
 use diners_sim::table::Table;
 
+use crate::common::failing;
+
 /// Replay Figure 2 and tabulate each depicted property against what our
 /// implementation did.
 pub fn run() -> (Figure2Report, Table) {
@@ -40,11 +42,25 @@ pub fn run() -> (Figure2Report, Table) {
     (report, t)
 }
 
+/// The FIG2 gate: every depicted property must be reproduced.
+pub fn gate(report: &Figure2Report, _quick: bool) -> Vec<String> {
+    failing([(!report.all_reproduced()).then(|| "FIG2: MISMATCH — see table above".into())])
+}
+
 #[cfg(test)]
 mod tests {
+    use super::*;
+
+    #[test]
+    fn gate_fails_on_an_unreproduced_property() {
+        let (mut report, _) = run();
+        assert!(gate(&report, false).is_empty());
+        report.affected_radius = Some(3);
+        assert_eq!(gate(&report, false).len(), 1);
+    }
     #[test]
     fn figure_2_fully_reproduces() {
-        let (report, table) = super::run();
+        let (report, table) = run();
         assert!(report.all_reproduced(), "{}", table.render());
         assert!(!table.render().contains("NO"));
     }

@@ -32,6 +32,7 @@ use diners_sim::engine::Engine;
 use diners_sim::explore::{explore_with, ExploreConfig, Limits, Reduction};
 use diners_sim::fault::{FaultPlan, Health};
 use diners_sim::graph::{ProcessId, Topology};
+use diners_sim::json::BenchDoc;
 use diners_sim::liveness::{check_liveness, LivenessConfig};
 use diners_sim::predicate::StatePredicate;
 use diners_sim::rng::rng;
@@ -631,18 +632,11 @@ pub fn run(quick: bool) -> FuzzReport {
         })
         .collect();
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n",
-            "  \"throughput\": [\n    {}\n  ],\n",
-            "  \"fuzz\": [\n    {}\n  ],\n",
-            "  \"shrunk\": [\n    {}\n  ]\n}}\n"
-        ),
-        quick,
-        json_tp.join(",\n    "),
-        json_fz.join(",\n    "),
-        json_art.join(",\n    "),
-    );
+    let json = BenchDoc::new(quick)
+        .rows("throughput", &json_tp)
+        .rows("fuzz", &json_fz)
+        .rows("shrunk", &json_art)
+        .finish();
 
     FuzzReport {
         throughput: tp_table,

@@ -1,6 +1,10 @@
-//! One module per experiment; each exposes `run(&Scale) -> Table`
-//! (FIG2's also returns the structured report). The `exp-*` binaries are
-//! thin wrappers, and the integration suite re-runs everything at
+//! One module per experiment. The paper-claim suites expose
+//! `run(&Scale) -> Table` (FIG2's also returns the structured report);
+//! the substrate suites expose `run(quick)` returning a report with
+//! tables and BENCH JSON. Every suite with a pass/fail condition has a
+//! `gate(report, quick) -> Vec<String>` listing its failures. The `exp`
+//! command ([`crate::cli`]) drives them all from one suite table, and
+//! the integration suite re-runs the paper claims at
 //! [`crate::common::Scale::quick`].
 
 pub mod analyze;

@@ -22,11 +22,14 @@ use std::time::{Duration, Instant};
 
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::{ProcessId, Topology};
+use diners_sim::json::BenchDoc;
 use diners_sim::table::{fmt_f64, Table};
 use diners_sim::telemetry::AlertKind;
 use diners_sim::Phase;
 
 use diners_mp::{AdversaryPlan, MonitorSetup, SimNet};
+
+use crate::common::failing;
 
 /// Everything T16 produces: human tables plus the JSON blob for CI
 /// (`BENCH_monitor.json`).
@@ -470,26 +473,17 @@ pub fn run(quick: bool) -> MonitorReport {
     let (detection, injected, undetected) = detection_section(quick, &mut det_json);
     let (fp, healthy_runs, false_positives, cutless_runs) = fp_section(quick, &mut fp_json);
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n  \"injected\": {},\n  \"undetected\": {},\n",
-            "  \"healthy_runs\": {},\n  \"false_positives\": {},\n",
-            "  \"cutless_runs\": {},\n  \"monitor_overhead_pct\": {:.2},\n",
-            "  \"detection\": [\n    {}\n  ],\n",
-            "  \"fp_sweep\": [\n    {}\n  ],\n",
-            "  \"overhead\": {}\n}}\n"
-        ),
-        quick,
-        injected,
-        undetected,
-        healthy_runs,
-        false_positives,
-        cutless_runs,
-        overhead_pct,
-        det_json.join(",\n    "),
-        fp_json.join(",\n    "),
-        ovh_json.join(","),
-    );
+    let json = BenchDoc::new(quick)
+        .field("injected", injected)
+        .field("undetected", undetected)
+        .field("healthy_runs", healthy_runs)
+        .field("false_positives", false_positives)
+        .field("cutless_runs", cutless_runs)
+        .field("monitor_overhead_pct", format!("{overhead_pct:.2}"))
+        .rows("detection", &det_json)
+        .rows("fp_sweep", &fp_json)
+        .field("overhead", ovh_json.join(","))
+        .finish();
 
     MonitorReport {
         detection,
@@ -505,9 +499,58 @@ pub fn run(quick: bool) -> MonitorReport {
     }
 }
 
+/// The T16 gate: every injected violation is alerted, healthy runs raise
+/// no hard alert and all complete epochs, and — at full scale — the
+/// sweep has ≥ 100 healthy runs and monitoring costs ≤ 5%.
+pub fn gate(r: &MonitorReport, quick: bool) -> Vec<String> {
+    let full = !quick;
+    failing([
+        (r.undetected > 0).then(|| format!("{} violations unalerted", r.undetected)),
+        (r.false_positives > 0).then(|| format!("{} false alerts", r.false_positives)),
+        (r.cutless_runs > 0).then(|| format!("{} runs without epochs", r.cutless_runs)),
+        (full && r.healthy_runs < 100).then(|| format!("{} healthy runs < 100", r.healthy_runs)),
+        (full && r.overhead_pct > 5.0).then(|| format!("overhead {:.2}% > 5%", r.overhead_pct)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gate_fails_on_each_doctored_condition() {
+        let table = || Table::new("t", ["x"]);
+        let healthy = || MonitorReport {
+            detection: table(),
+            fp: table(),
+            overhead: table(),
+            injected: 4,
+            undetected: 0,
+            healthy_runs: 100,
+            false_positives: 0,
+            cutless_runs: 0,
+            overhead_pct: 1.0,
+            json: String::new(),
+        };
+        assert!(gate(&healthy(), false).is_empty());
+        let doctored: [fn(&mut MonitorReport); 5] = [
+            |r| r.undetected = 1,
+            |r| r.false_positives = 1,
+            |r| r.cutless_runs = 1,
+            |r| r.healthy_runs = 99,
+            |r| r.overhead_pct = 5.5,
+        ];
+        for doctor in doctored {
+            let mut report = healthy();
+            doctor(&mut report);
+            assert_eq!(gate(&report, false).len(), 1);
+        }
+        // The run-count and overhead bounds bind at full scale only.
+        let mut quick = healthy();
+        quick.healthy_runs = 10;
+        quick.overhead_pct = 50.0;
+        assert!(gate(&quick, true).is_empty());
+    }
 
     #[test]
     fn quick_sweep_detects_injections_with_no_false_positives() {

@@ -22,6 +22,7 @@ use diners_sim::engine::{Engine, EnumerationMode};
 use diners_sim::explore::{explore, explore_parallel, ExplorationReport, Limits};
 use diners_sim::fault::Health;
 use diners_sim::graph::Topology;
+use diners_sim::json::{self, BenchDoc};
 use diners_sim::scheduler::RandomScheduler;
 use diners_sim::table::{fmt_f64, Table};
 use diners_sim::toy::ToyDiners;
@@ -247,17 +248,11 @@ pub fn run(quick: bool) -> PerfReport {
         ));
     }
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n  \"available_parallelism\": {},\n",
-            "  \"engine\": [\n    {}\n  ],\n",
-            "  \"explore\": [\n    {}\n  ]\n}}\n"
-        ),
-        quick,
-        threads,
-        json_engine.join(",\n    "),
-        json_explore.join(",\n    "),
-    );
+    let json = BenchDoc::new(quick)
+        .field("available_parallelism", threads)
+        .rows("engine", &json_engine)
+        .rows("explore", &json_explore)
+        .finish();
 
     PerfReport {
         engine: engine_table,
@@ -278,53 +273,25 @@ pub struct BaselineCheck {
     pub regressions: Vec<String>,
 }
 
-/// Parse the first number following `key` inside `obj`.
-fn num_after(obj: &str, key: &str) -> Option<f64> {
-    let i = obj.find(key)? + key.len();
-    let tail = &obj[i..];
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
-
-/// Extract `(family, n, speedup)` triples from the `engine` section of a
-/// `BENCH_engine.json` blob. Tolerant of whitespace differences; only
-/// engine entries carry a `"family"` key, so no section tracking is
-/// needed.
-fn engine_entries(json: &str) -> Vec<(String, usize, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\"family\":\"") {
-        let after = &rest[i + 10..];
-        let Some(q) = after.find('"') else { break };
-        let family = after[..q].to_string();
-        let obj = &after[..after.find('}').unwrap_or(after.len())];
-        if let (Some(n), Some(s)) = (num_after(obj, "\"n\":"), num_after(obj, "\"speedup\":")) {
-            out.push((family, n as usize, s));
-        }
-        rest = &after[q..];
-    }
-    out
-}
-
-/// Extract `(case, speedup)` pairs from the `explore` section of a
-/// `BENCH_engine.json` blob (explore entries are the ones keyed by
-/// `"case"`).
-fn explore_entries(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\"case\":\"") {
-        let after = &rest[i + 8..];
-        let Some(q) = after.find('"') else { break };
-        let case = after[..q].to_string();
-        let obj = &after[..after.find('}').unwrap_or(after.len())];
-        if let Some(s) = num_after(obj, "\"speedup\":") {
-            out.push((case, s));
-        }
-        rest = &after[q..];
-    }
-    out
+/// The speedup rows of a `BENCH_engine.json` blob as `(label, size,
+/// speedup)`: engine rows by family and n, explorer rows by case name
+/// with size `-`.
+fn speedups(json: &str) -> Vec<(String, String, f64)> {
+    let rows = |key: &str| json::array_field(json, key).map_or(Vec::new(), json::split_elements);
+    let row = |r: &str, label: &str, size: &str| {
+        let speedup = json::field(r, "speedup")?.parse().ok()?;
+        Some((
+            json::field(r, label)?.to_string(),
+            size.to_string(),
+            speedup,
+        ))
+    };
+    let engine = rows("engine").into_iter();
+    let engine = engine.filter_map(|r| row(r, "family", json::field(r, "n")?));
+    let explore = rows("explore")
+        .into_iter()
+        .filter_map(|r| row(r, "case", "-"));
+    engine.chain(explore).collect()
 }
 
 /// Compare a fresh T10 run against a committed baseline and flag
@@ -352,9 +319,8 @@ pub fn check_against_baseline(
     baseline: &str,
     tolerance: f64,
 ) -> Result<BaselineCheck, String> {
-    let cur = engine_entries(current);
-    let base = engine_entries(baseline);
-    if base.is_empty() {
+    let (cur, base) = (speedups(current), speedups(baseline));
+    if base.iter().all(|(_, size, _)| size == "-") {
         return Err("baseline JSON has no engine entries".to_string());
     }
     let mut table = Table::new(
@@ -365,63 +331,65 @@ pub fn check_against_baseline(
         ["family", "n", "base", "current", "ratio", "verdict"],
     );
     let mut regressions = Vec::new();
-    let mut compared = 0;
-    for (family, n, b) in &base {
-        let Some((_, _, c)) = cur.iter().find(|(f, m, _)| f == family && m == n) else {
+    // Explorer cases ride in the same table: "case" in the family column,
+    // "-" for the size (cases are matched by name alone).
+    for (label, size, b) in &base {
+        let Some((_, _, c)) = cur.iter().find(|(l, s, _)| l == label && s == size) else {
             continue;
         };
-        compared += 1;
         let ratio = c / b;
         let ok = ratio >= 1.0 - tolerance;
         if !ok {
+            let name = match size.as_str() {
+                "-" => format!("{label} explorer"),
+                n => format!("{label}(n={n})"),
+            };
+            let pct = ratio * 100.0;
             regressions.push(format!(
-                "{family}(n={n}): speedup {c:.2} is {:.0}% of baseline {b:.2}",
-                ratio * 100.0
+                "{name}: speedup {c:.2} is {pct:.0}% of baseline {b:.2}"
             ));
         }
-        table.row([
-            family.clone(),
-            n.to_string(),
+        let verdict = if ok { "ok" } else { "REGRESSED" };
+        let cells = [
             fmt_f64(*b, 2),
             fmt_f64(*c, 2),
             fmt_f64(ratio, 2),
-            if ok { "ok" } else { "REGRESSED" }.to_string(),
-        ]);
+            verdict.into(),
+        ];
+        table.row([label.clone(), size.clone()].into_iter().chain(cells));
     }
-    // Explorer cases ride in the same table: "case" in the family column,
-    // "-" for the size (cases are matched by name alone).
-    let cur_ex = explore_entries(current);
-    for (case, b) in explore_entries(baseline) {
-        let Some((_, c)) = cur_ex.iter().find(|(k, _)| *k == case) else {
-            continue;
-        };
-        compared += 1;
-        let ratio = c / b;
-        let ok = ratio >= 1.0 - tolerance;
-        if !ok {
-            regressions.push(format!(
-                "{case}: explorer speedup {c:.2} is {:.0}% of baseline {b:.2}",
-                ratio * 100.0
-            ));
-        }
-        table.row([
-            case.clone(),
-            "-".to_string(),
-            fmt_f64(b, 2),
-            fmt_f64(*c, 2),
-            fmt_f64(ratio, 2),
-            if ok { "ok" } else { "REGRESSED" }.to_string(),
-        ]);
-    }
-    if compared == 0 {
+    if table.is_empty() {
         return Err("no overlapping (family, n) configurations between run and baseline".into());
     }
     Ok(BaselineCheck { table, regressions })
 }
 
+/// The T10 gate, applied when a baseline is given: every configuration
+/// whose speedup regressed beyond the tolerance, or the reason the
+/// comparison could not be made.
+pub fn gate(check: &Result<BaselineCheck, String>) -> Vec<String> {
+    match check {
+        Ok(check) => check.regressions.clone(),
+        Err(e) => vec![format!("baseline check: {e}")],
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gate_fails_on_a_regression_or_an_unusable_baseline() {
+        let baseline = format!("{{\"engine\":[{}]}}", entry("ring", 64, 10.0));
+        let same = check_against_baseline(&baseline, &baseline, 0.25);
+        assert!(gate(&same).is_empty());
+        let slow = format!("{{\"engine\":[{}]}}", entry("ring", 64, 5.0));
+        assert_eq!(
+            gate(&check_against_baseline(&slow, &baseline, 0.25)).len(),
+            1
+        );
+        assert_eq!(gate(&check_against_baseline(&slow, "{}", 0.25)).len(), 1);
+    }
 
     fn entry(family: &str, n: usize, speedup: f64) -> String {
         format!("{{\"family\":\"{family}\",\"n\":{n},\"speedup\":{speedup:.3}}}")
@@ -503,13 +471,13 @@ mod tests {
             return; // only meaningfully testable on a single-core host
         }
         let report = run(true);
-        for (case, speedup) in explore_entries(&report.json) {
+        for (case, _, speedup) in speedups(&report.json).into_iter().filter(|r| r.1 == "-") {
             assert_eq!(speedup, 1.0, "{case}: {speedup}");
         }
     }
 
     #[test]
-    fn engine_entries_parse_the_committed_shape() {
+    fn speedups_parse_the_committed_shape() {
         let json = concat!(
             "{\n  \"engine\": [\n    ",
             "{\"family\":\"ring\",\"n\":16,\"naive_steps_per_sec\":374474.3,",
@@ -518,11 +486,17 @@ mod tests {
             "  \"explore\": [\n    ",
             "{\"case\":\"toy-ring(n=12)\",\"states\":172928,\"speedup\":0.860}\n  ]\n}\n"
         );
-        let entries = engine_entries(json);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].0, "ring");
-        assert_eq!(entries[0].1, 16);
+        let entries = speedups(json);
+        assert_eq!(entries.len(), 2);
+        assert_eq!(
+            (entries[0].0.as_str(), entries[0].1.as_str()),
+            ("ring", "16")
+        );
         assert!((entries[0].2 - 4.270).abs() < 1e-9);
+        assert_eq!(
+            (entries[1].0.as_str(), entries[1].1.as_str()),
+            ("toy-ring(n=12)", "-")
+        );
     }
 
     #[test]

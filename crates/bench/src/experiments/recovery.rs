@@ -27,10 +27,11 @@ use diners_core::MaliciousCrashDiners;
 use diners_mp::{RestartPolicy, SimNet};
 use diners_sim::fault::{FaultPlan, Resurrection};
 use diners_sim::graph::{ProcessId, Topology};
+use diners_sim::json::BenchDoc;
 use diners_sim::table::{fmt_f64, fmt_opt, Table};
 use diners_sim::telemetry::Histogram;
 
-use crate::common::Scale;
+use crate::common::{failing, Scale};
 
 /// Everything T13 produces: human tables plus the JSON blob for CI
 /// (`BENCH_recovery.json`).
@@ -53,16 +54,6 @@ pub struct RecoveryReport {
     pub unexpected_giveups: u64,
     /// Machine-readable mirror of the tables.
     pub json: String,
-}
-
-impl RecoveryReport {
-    /// Whether every recovery claim held.
-    pub fn clean(&self) -> bool {
-        self.max_radius <= 2
-            && self.unrecovered == 0
-            && self.storm_failures == 0
-            && self.unexpected_giveups == 0
-    }
 }
 
 /// The T13 topology set (≥ 3 families; sizes keep exhaustive
@@ -363,22 +354,14 @@ pub fn run_report(scale: &Scale, quick: bool) -> RecoveryReport {
     let (supervised, storm_failures, storm_giveups) = storm_section(scale, quick, &mut storm_json);
     let (budget, budget_failures) = budget_section(quick, &mut budget_json);
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n  \"max_incident_radius\": {},\n",
-            "  \"unrecovered_incidents\": {},\n  \"storm_failures\": {},\n",
-            "  \"incidents\": [\n    {}\n  ],\n",
-            "  \"supervised\": [\n    {}\n  ],\n",
-            "  \"budget_exhaustion\": [\n    {}\n  ]\n}}\n"
-        ),
-        quick,
-        max_radius,
-        unrecovered,
-        storm_failures + budget_failures,
-        inc_json.join(",\n    "),
-        storm_json.join(",\n    "),
-        budget_json.join(",\n    "),
-    );
+    let json = BenchDoc::new(quick)
+        .field("max_incident_radius", max_radius)
+        .field("unrecovered_incidents", unrecovered)
+        .field("storm_failures", storm_failures + budget_failures)
+        .rows("incidents", &inc_json)
+        .rows("supervised", &storm_json)
+        .rows("budget_exhaustion", &budget_json)
+        .finish();
 
     RecoveryReport {
         incidents,
@@ -394,10 +377,15 @@ pub fn run_report(scale: &Scale, quick: bool) -> RecoveryReport {
     }
 }
 
-/// Run the sweep and produce the headline table (the `exp-all` entry
-/// point keeps the full report).
-pub fn run(scale: &Scale) -> Table {
-    run_report(scale, *scale == Scale::quick()).incidents
+/// The T13 gate: every incident reconverges within distance 2, every
+/// supervised run and budget scenario behaves, and no storm gives up.
+pub fn gate(r: &RecoveryReport, _quick: bool) -> Vec<String> {
+    failing([
+        (r.max_radius > 2).then(|| format!("incident radius {} > 2", r.max_radius)),
+        (r.unrecovered > 0).then(|| format!("{} unrecovered incidents", r.unrecovered)),
+        (r.storm_failures > 0).then(|| format!("{} storm failures", r.storm_failures)),
+        (r.unexpected_giveups > 0).then(|| format!("{} give-ups", r.unexpected_giveups)),
+    ])
 }
 
 #[cfg(test)]
@@ -405,10 +393,37 @@ mod tests {
     use super::*;
 
     #[test]
+    fn gate_fails_on_each_doctored_condition() {
+        let table = || Table::new("t", ["x"]);
+        let healthy = || RecoveryReport {
+            incidents: table(),
+            supervised: table(),
+            budget: table(),
+            max_radius: 2,
+            unrecovered: 0,
+            storm_failures: 0,
+            unexpected_giveups: 0,
+            json: String::new(),
+        };
+        assert!(gate(&healthy(), false).is_empty());
+        let doctored: [fn(&mut RecoveryReport); 4] = [
+            |r| r.max_radius = 3,
+            |r| r.unrecovered = 1,
+            |r| r.storm_failures = 1,
+            |r| r.unexpected_giveups = 1,
+        ];
+        for doctor in doctored {
+            let mut report = healthy();
+            doctor(&mut report);
+            assert_eq!(gate(&report, false).len(), 1);
+        }
+    }
+
+    #[test]
     fn quick_sweep_recovers_everywhere_and_emits_well_formed_json() {
         let report = run_report(&Scale::quick(), true);
         assert!(
-            report.clean(),
+            gate(&report, true).is_empty(),
             "recovery sweep failed: radius {}, unrecovered {}, storm failures {}, \
              unexpected giveups {}\n{}\n{}\n{}",
             report.max_radius,

@@ -7,7 +7,7 @@
 //! failure locality ≤ 2 as a meal-shortfall radius) without perturbing
 //! the runs it observes. The overhead section quantifies the cost of the
 //! enabled path; the disabled path is a single branch on a `None`
-//! option, and the machine-normalized guard in `exp-perf --check`
+//! option, and the machine-normalized guard in `exp perf --check`
 //! watches for regressions of the bare engine across commits.
 
 use std::time::Duration;
@@ -20,12 +20,14 @@ use diners_sim::engine::{Engine, EnumerationMode};
 use diners_sim::explore::{explore, ExplorationReport, Limits};
 use diners_sim::fault::{FaultKind, FaultPlan, Health};
 use diners_sim::graph::Topology;
+use diners_sim::json::BenchDoc;
 use diners_sim::scheduler::RandomScheduler;
 use diners_sim::table::{fmt_f64, fmt_opt, Table};
 use diners_sim::telemetry::{Histogram, RingSink, Telemetry};
 use diners_sim::toy::ToyDiners;
 use diners_sim::workload::AlwaysHungry;
 
+use crate::common::failing;
 use crate::experiments::perf::steps_per_sec;
 
 /// Everything T11 produces: human tables plus the JSON blob for CI
@@ -352,23 +354,14 @@ pub fn run(quick: bool) -> TelemetryReport {
     let explorer = explorer_section(quick, &mut exp_json);
     let (overhead, overhead_pct) = overhead_section(quick, &mut ovh_json);
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n  \"max_single_crash_radius\": {},\n",
-            "  \"convergence\": [\n    {}\n  ],\n",
-            "  \"disturbance\": [\n    {}\n  ],\n",
-            "  \"network\": [\n    {}\n  ],\n",
-            "  \"explore\": [\n    {}\n  ],\n",
-            "  \"overhead\": {}\n}}\n"
-        ),
-        quick,
-        max_radius,
-        conv_json.join(",\n    "),
-        dist_json.join(",\n    "),
-        net_json.join(",\n    "),
-        exp_json.join(",\n    "),
-        ovh_json.join(","),
-    );
+    let json = BenchDoc::new(quick)
+        .field("max_single_crash_radius", max_radius)
+        .rows("convergence", &conv_json)
+        .rows("disturbance", &dist_json)
+        .rows("network", &net_json)
+        .rows("explore", &exp_json)
+        .field("overhead", ovh_json.join(","))
+        .finish();
 
     TelemetryReport {
         convergence,
@@ -382,9 +375,33 @@ pub fn run(quick: bool) -> TelemetryReport {
     }
 }
 
+/// The T11 gate: no single crash disturbs service beyond the paper's
+/// failure-locality bound of 2.
+pub fn gate(r: &TelemetryReport, _quick: bool) -> Vec<String> {
+    failing([(r.max_radius > 2).then(|| format!("disturbance radius {} > 2", r.max_radius))])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gate_fails_on_a_radius_beyond_two() {
+        let table = || Table::new("t", ["x"]);
+        let mut report = TelemetryReport {
+            convergence: table(),
+            disturbance: table(),
+            network: table(),
+            explorer: table(),
+            overhead: table(),
+            max_radius: 2,
+            overhead_pct: 0.0,
+            json: String::new(),
+        };
+        assert!(gate(&report, true).is_empty());
+        report.max_radius = 3;
+        assert_eq!(gate(&report, true).len(), 1);
+    }
 
     #[test]
     fn quick_sweep_observes_locality_and_well_formed_json() {

@@ -25,6 +25,7 @@ use diners_sim::algorithm::DinerAlgorithm;
 use diners_sim::engine::{Engine, EnumerationMode};
 use diners_sim::fault::FaultPlan;
 use diners_sim::graph::{ProcessId, Topology};
+use diners_sim::json::BenchDoc;
 use diners_sim::record::{Recording, Replayer};
 use diners_sim::scheduler::{LeastRecentScheduler, RandomScheduler, Scheduler};
 use diners_sim::table::{fmt_f64, fmt_opt, Table};
@@ -32,6 +33,7 @@ use diners_sim::telemetry::Histogram;
 use diners_sim::workload::AlwaysHungry;
 use diners_sim::Phase;
 
+use crate::common::failing;
 use crate::experiments::perf::steps_per_sec;
 
 /// Everything T12 produces: human tables plus the JSON blob for CI
@@ -411,24 +413,15 @@ pub fn run(quick: bool) -> TraceReport {
     let (blame, rooted_chains, max_rooted_distance) = blame_section(quick, &mut blame_json);
     let (overhead, overhead_pct) = overhead_section(quick, &mut ovh_json);
 
-    let json = format!(
-        concat!(
-            "{{\n  \"quick\": {},\n  \"replay_failures\": {},\n",
-            "  \"rooted_chains\": {},\n  \"max_rooted_distance\": {},\n",
-            "  \"recorder_overhead_pct\": {:.2},\n",
-            "  \"replay\": [\n    {}\n  ],\n",
-            "  \"blame\": [\n    {}\n  ],\n",
-            "  \"overhead\": {}\n}}\n"
-        ),
-        quick,
-        replay_failures,
-        rooted_chains,
-        max_rooted_distance,
-        overhead_pct,
-        replay_json.join(",\n    "),
-        blame_json.join(",\n    "),
-        ovh_json.join(","),
-    );
+    let json = BenchDoc::new(quick)
+        .field("replay_failures", replay_failures)
+        .field("rooted_chains", rooted_chains)
+        .field("max_rooted_distance", max_rooted_distance)
+        .field("recorder_overhead_pct", format!("{overhead_pct:.2}"))
+        .rows("replay", &replay_json)
+        .rows("blame", &blame_json)
+        .field("overhead", ovh_json.join(","))
+        .finish();
 
     TraceReport {
         replay,
@@ -442,9 +435,49 @@ pub fn run(quick: bool) -> TraceReport {
     }
 }
 
+/// The T12 gate: every recording replays bit-identically, blame chains
+/// exist and stay within distance 2 of their fault, and — at full
+/// scale, where the timing is meaningful — the recorder costs ≤ 5%.
+pub fn gate(r: &TraceReport, quick: bool) -> Vec<String> {
+    failing([
+        (r.replay_failures > 0).then(|| format!("{} replays diverged", r.replay_failures)),
+        (r.rooted_chains == 0).then(|| "no rooted blame chain (vacuous check)".into()),
+        (r.max_rooted_distance > 2).then(|| format!("blame distance {}", r.max_rooted_distance)),
+        (!quick && r.overhead_pct > 5.0).then(|| format!("recorder {:.2}% > 5%", r.overhead_pct)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn gate_fails_on_each_doctored_condition() {
+        let table = || Table::new("t", ["x"]);
+        let healthy = || TraceReport {
+            replay: table(),
+            blame: table(),
+            overhead: table(),
+            replay_failures: 0,
+            rooted_chains: 3,
+            max_rooted_distance: 2,
+            overhead_pct: 9.0,
+            json: String::new(),
+        };
+        // The overhead budget binds at full scale only.
+        assert!(gate(&healthy(), true).is_empty());
+        assert_eq!(gate(&healthy(), false).len(), 1);
+        let doctored: [fn(&mut TraceReport); 3] = [
+            |r| r.replay_failures = 1,
+            |r| r.rooted_chains = 0,
+            |r| r.max_rooted_distance = 3,
+        ];
+        for doctor in doctored {
+            let mut report = healthy();
+            doctor(&mut report);
+            assert_eq!(gate(&report, true).len(), 1);
+        }
+    }
 
     #[test]
     fn quick_sweep_replays_exactly_and_blames_locally() {

@@ -24,13 +24,16 @@
 //! | T16  | online monitoring & global snapshots    | [`experiments::monitor`] |
 //! | T17  | contract certification (footprints)     | [`experiments::analyze`] |
 //!
-//! Run them all with `cargo run -p diners-bench --release --bin exp-all`,
-//! or individually via the `exp-*` binaries.
+//! The `exp` binary runs them: `exp <suite> [--quick]` for one suite,
+//! `exp all [--quick]` for every suite, `exp help` for the list (see
+//! [`cli`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod cli;
 pub mod common;
 pub mod experiments;
+pub mod tools;
 
 pub use common::Scale;

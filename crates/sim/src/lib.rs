@@ -57,6 +57,7 @@ pub mod fault;
 pub mod fingerprint;
 pub mod footprint;
 pub mod graph;
+pub mod json;
 pub mod liveness;
 pub mod metrics;
 pub mod predicate;

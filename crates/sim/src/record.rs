@@ -49,8 +49,8 @@ use crate::engine::{Engine, EngineBuilder, EnumerationMode, StepOutcome};
 use crate::fault::{FaultKind, FaultPlan, Health, Resurrection};
 use crate::fingerprint::Fx64;
 use crate::graph::{ProcessId, Topology};
+use crate::json::{self, array_field, split_elements};
 use crate::scheduler::{EnabledMove, Scheduler};
-use crate::telemetry::json_field;
 use crate::workload::Workload;
 
 /// The recording format version this build writes (see module docs for
@@ -350,12 +350,12 @@ impl Recording {
                 }));
             }
             let num = |key: &str| -> Result<u64, String> {
-                json_field(line, key)
+                json::field(line, key)
                     .ok_or_else(|| err(&format!("missing \"{key}\"")))?
                     .parse::<u64>()
                     .map_err(|_| err(&format!("bad \"{key}\"")))
             };
-            let kind = json_field(line, "kind").ok_or_else(|| err("missing \"kind\""))?;
+            let kind = json::field(line, "kind").ok_or_else(|| err("missing \"kind\""))?;
             if rec.is_none() {
                 if kind != "header" {
                     return Err(err("first record must be the header"));
@@ -378,11 +378,11 @@ impl Recording {
                             rec.decisions.len()
                         )));
                     }
-                    let slot = match json_field(line, "slot") {
+                    let slot = match json::field(line, "slot") {
                         Some(s) => Some(s.parse::<usize>().map_err(|_| err("bad \"slot\""))?),
                         None => None,
                     };
-                    let needs = json_field(line, "needs")
+                    let needs = json::field(line, "needs")
                         .ok_or_else(|| err("missing \"needs\""))?
                         .parse::<bool>()
                         .map_err(|_| err("bad \"needs\""))?;
@@ -410,7 +410,7 @@ impl Recording {
                     rec.decisions.push(StepDecision::Quiescent);
                 }
                 "fault" => {
-                    let kind = json_field(line, "fault")
+                    let kind = json::field(line, "fault")
                         .ok_or_else(|| err("missing \"fault\""))
                         .and_then(|s| parse_fault_kind(s).ok_or_else(|| err("bad \"fault\"")))?;
                     if rec.version < 2 && matches!(kind, FaultKind::Restart { .. }) {
@@ -484,62 +484,18 @@ fn parse_fault_kind(s: &str) -> Option<FaultKind> {
     }
 }
 
-/// Extract the bracketed raw content of `"key":[...]` (nested brackets
-/// allowed, strings may not contain brackets — true for this format).
-fn json_array_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":[");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let mut depth = 1usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Split a `[...],[...]` element list at top-level commas.
-fn split_elements(s: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in s.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => depth -= 1,
-            ',' if depth == 0 => {
-                out.push(&s[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if start < s.len() {
-        out.push(&s[start..]);
-    }
-    out
-}
-
 fn parse_header(
     line: &str,
     version: u32,
     err: &dyn Fn(&str) -> String,
 ) -> Result<Recording, String> {
     let text = |key: &str| -> Result<String, String> {
-        json_field(line, key)
+        json::field(line, key)
             .map(str::to_string)
             .ok_or_else(|| err(&format!("missing \"{key}\"")))
     };
     let num = |key: &str| -> Result<u64, String> {
-        json_field(line, key)
+        json::field(line, key)
             .ok_or_else(|| err(&format!("missing \"{key}\"")))?
             .parse::<u64>()
             .map_err(|_| err(&format!("bad \"{key}\"")))
@@ -549,7 +505,7 @@ fn parse_header(
         "incremental" => EnumerationMode::Incremental,
         other => return Err(err(&format!("unknown mode \"{other}\""))),
     };
-    let edges_raw = json_array_field(line, "edges").ok_or_else(|| err("missing \"edges\""))?;
+    let edges_raw = array_field(line, "edges").ok_or_else(|| err("missing \"edges\""))?;
     let mut edges = Vec::new();
     for el in split_elements(edges_raw) {
         let el = el.trim().trim_start_matches('[').trim_end_matches(']');
@@ -563,11 +519,11 @@ fn parse_header(
         ));
     }
     let mut faults = FaultPlan::new();
-    if json_field(line, "arbitrary_start") == Some("true") {
+    if json::field(line, "arbitrary_start") == Some("true") {
         faults = faults.from_arbitrary_state();
     }
-    let dead_raw = json_array_field(line, "initially_dead")
-        .ok_or_else(|| err("missing \"initially_dead\""))?;
+    let dead_raw =
+        array_field(line, "initially_dead").ok_or_else(|| err("missing \"initially_dead\""))?;
     for el in split_elements(dead_raw) {
         let el = el.trim();
         if el.is_empty() {
@@ -576,8 +532,7 @@ fn parse_header(
         let p: usize = el.parse().map_err(|_| err("bad \"initially_dead\""))?;
         faults = faults.initially_dead(p);
     }
-    let plan_raw =
-        json_array_field(line, "fault_plan").ok_or_else(|| err("missing \"fault_plan\""))?;
+    let plan_raw = array_field(line, "fault_plan").ok_or_else(|| err("missing \"fault_plan\""))?;
     for el in split_elements(plan_raw) {
         let el = el.trim().trim_start_matches('[').trim_end_matches(']');
         if el.is_empty() {

@@ -33,6 +33,7 @@ use std::fmt;
 use crate::algorithm::Phase;
 use crate::fault::FaultKind;
 use crate::graph::{ProcessId, Topology};
+use crate::json;
 use crate::trace::Trace;
 
 // ---------------------------------------------------------------------------
@@ -375,22 +376,6 @@ impl ReplaySummary {
     }
 }
 
-/// Extract the value of `"key":` in a flat JSON object, as a raw token
-/// (number text, or the inside of a quoted string). Shared with the
-/// flight-recorder parser in [`crate::record`].
-pub(crate) fn json_field<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        let end = stripped.find('"')?;
-        Some(&stripped[..end])
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(rest[..end].trim())
-    }
-}
-
 /// The event-log format version [`JsonlSink`] writes. Logs may carry a
 /// `"v"` field on any line (emitted by tools that frame their output);
 /// when present it must match.
@@ -426,12 +411,12 @@ pub fn parse_jsonl(text: &str) -> Result<ReplaySummary, String> {
             }));
         }
         let num = |key: &str| -> Result<u64, String> {
-            json_field(line, key)
+            json::field(line, key)
                 .ok_or_else(|| err(&format!("missing \"{key}\"")))?
                 .parse::<u64>()
                 .map_err(|_| err(&format!("bad \"{key}\"")))
         };
-        if let Some(v) = json_field(line, "v") {
+        if let Some(v) = json::field(line, "v") {
             let v: u64 = v.parse().map_err(|_| err("bad \"v\""))?;
             if v != JSONL_VERSION {
                 return Err(err(&format!("unknown format version {v}")));
@@ -440,7 +425,7 @@ pub fn parse_jsonl(text: &str) -> Result<ReplaySummary, String> {
         let clock = num("clock")?;
         let step = num("step")?;
         let pid = num("pid")? as usize;
-        let kind = json_field(line, "kind")
+        let kind = json::field(line, "kind")
             .ok_or_else(|| err("missing \"kind\""))?
             .to_string();
         if let Some(prev) = prev_clock {
@@ -751,12 +736,12 @@ impl MetricsRegistry {
         let counters: Vec<String> = self
             .counters
             .iter()
-            .map(|(n, v)| format!("\"{}\":{v}", json_escape(n)))
+            .map(|(n, v)| format!("\"{}\":{v}", json::escape(n)))
             .collect();
         let gauges: Vec<String> = self
             .gauges
             .iter()
-            .map(|(n, v)| format!("\"{}\":{v:.3}", json_escape(n)))
+            .map(|(n, v)| format!("\"{}\":{v:.3}", json::escape(n)))
             .collect();
         let hists: Vec<String> = self
             .histograms
@@ -772,7 +757,7 @@ impl MetricsRegistry {
                         "\"{}\":{{\"count\":{},\"mean\":{:.3},",
                         "\"min\":{},\"max\":{},\"buckets\":[{}]}}"
                     ),
-                    json_escape(n),
+                    json::escape(n),
                     h.count(),
                     h.mean(),
                     h.min().unwrap_or(0),
@@ -846,23 +831,6 @@ impl MetricsRegistry {
         }
         out
     }
-}
-
-/// Escape a free-form string for embedding inside a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Sanitize a metric (or label-key) base name to the Prometheus

@@ -1,6 +1,6 @@
 //! Integration: the entire experiment suite runs end-to-end at quick
 //! scale and produces well-formed tables (this is the same code path as
-//! the `exp-*` binaries used to regenerate EXPERIMENTS.md).
+//! the `exp` command used to regenerate EXPERIMENTS.md).
 
 use diners_bench::experiments;
 use diners_bench::Scale;
