@@ -280,7 +280,7 @@ const SUITES: &[Suite] = &[
         let baseline = baseline.transpose()?;
         let r = perf::run(c.quick);
         let check = baseline.map(|b| perf::check_against_baseline(&r.json, &b, 0.25));
-        let mut tables = vec![&r.engine, &r.explore];
+        let mut tables = vec![&r.engine, &r.scaling, &r.explore];
         if let Some(Ok(check)) = &check {
             tables.push(&check.table);
         }

@@ -1,6 +1,7 @@
 //! T10 — substrate performance: engine step throughput (naive vs
-//! incremental enumeration) and explorer state throughput (sequential vs
-//! parallel frontier expansion).
+//! incremental enumeration, and the incremental engine's scaling with n
+//! on rings) and explorer state throughput (sequential vs parallel
+//! frontier expansion).
 //!
 //! Unlike T1–T9 this measures the *reproduction infrastructure*, not the
 //! paper's claims: the incremental engine and the parallel explorer are
@@ -34,6 +35,8 @@ use crate::common::families;
 pub struct PerfReport {
     /// Engine steps/sec per family × size × enumeration mode.
     pub engine: Table,
+    /// Incremental-engine steps/sec on rings of growing size.
+    pub scaling: Table,
     /// Explorer states/sec, sequential vs parallel.
     pub explore: Table,
     /// The same numbers as machine-readable JSON (`BENCH_engine.json`).
@@ -73,6 +76,30 @@ fn engine_for(topo: &Topology, mode: EnumerationMode) -> Engine<MaliciousCrashDi
         .seed(7)
         .enumeration(mode)
         .build()
+}
+
+/// Ring sizes of the scaling sweep.
+const SCALING_SIZES: [usize; 5] = [16, 64, 256, 1024, 4096];
+
+/// Incremental-engine steps/sec of `engine_for` on `ring(n)` for each
+/// size: the table and its JSON rows. Not gated — the rows show how the
+/// per-step cost grows with n.
+fn ring_scaling(sizes: &[usize], budget: Duration) -> (Table, Vec<String>) {
+    let mut table = Table::new(
+        format!("T10: incremental engine on rings, random daemon (budget {budget:?}/cell)"),
+        ["n", "steps/s", "ns/step"],
+    );
+    let mut rows = Vec::new();
+    for &n in sizes {
+        let topo = Topology::ring(n);
+        let (rate, steps) =
+            steps_per_sec(&mut engine_for(&topo, EnumerationMode::Incremental), budget);
+        table.row([n.to_string(), fmt_f64(rate, 0), fmt_f64(1e9 / rate, 0)]);
+        rows.push(format!(
+            "{{\"family\":\"ring\",\"n\":{n},\"incremental_steps_per_sec\":{rate:.1},\"incremental_steps\":{steps}}}"
+        ));
+    }
+    (table, rows)
 }
 
 fn explore_toy(topo: &Topology, threads: Option<usize>) -> ExplorationReport {
@@ -184,6 +211,13 @@ pub fn run(quick: bool) -> PerfReport {
         }
     }
 
+    let scaling_sizes = if quick {
+        &SCALING_SIZES[..3]
+    } else {
+        &SCALING_SIZES[..]
+    };
+    let (scaling, json_scaling) = ring_scaling(scaling_sizes, budget);
+
     let mut explore_table = Table::new(
         format!("T10: explorer states/sec, sequential vs {threads}-thread parallel"),
         ["case", "states", "seq st/s", "par st/s", "speedup"],
@@ -251,11 +285,13 @@ pub fn run(quick: bool) -> PerfReport {
     let json = BenchDoc::new(quick)
         .field("available_parallelism", threads)
         .rows("engine", &json_engine)
+        .rows("scaling", &json_scaling)
         .rows("explore", &json_explore)
         .finish();
 
     PerfReport {
         engine: engine_table,
+        scaling,
         explore: explore_table,
         json,
     }
@@ -526,6 +562,23 @@ mod tests {
             json.matches('}').count(),
             "unbalanced braces:\n{json}"
         );
+    }
+
+    #[test]
+    fn ring_scaling_reports_one_row_per_size() {
+        let (table, rows) = ring_scaling(&[16, 64], Duration::from_millis(10));
+        assert_eq!(table.len(), 2);
+        assert_eq!(rows.len(), 2);
+        for (row, n) in rows.iter().zip([16, 64]) {
+            assert_eq!(json::field(row, "n"), Some(n.to_string().as_str()));
+            let rate: f64 = json::field(row, "incremental_steps_per_sec")
+                .and_then(|v| v.parse().ok())
+                .expect("rate");
+            assert!(rate > 0.0, "{row}");
+        }
+        // Scaling rows carry no speedup, so the baseline guard skips them.
+        let doc = format!("{{\"engine\":[],\"scaling\":[{}]}}", rows.join(","));
+        assert!(speedups(&doc).is_empty());
     }
 
     #[test]

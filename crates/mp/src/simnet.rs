@@ -10,12 +10,22 @@
 //! [`crate::adversary`]: loss, duplication, bounded delay, reordering,
 //! healing partitions, and byzantine-adjacent corruption, all applied at
 //! the send boundary by a seeded [`LinkAdversary`].
+//!
+//! Each event is drawn uniformly from the candidate list "every queue
+//! holding a deliverable message, by queue index, then every node that is
+//! not dead, by id". A [`CountIndex`] over those slots answers the draw in
+//! O(log n) without building the list, and the exclusion monitor and meal
+//! log are updated at the one node an event touches. Paths that may touch
+//! anything (faults, revivals, injected phases) mark the net stale, and
+//! the next step recounts every slot, pair and meal counter in O(n + E).
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use diners_sim::count_index::CountIndex;
 use diners_sim::fault::{FaultKind, FaultPlan, Health, Resurrection};
 use diners_sim::graph::{ProcessId, Topology};
 use diners_sim::rng;
@@ -135,6 +145,18 @@ pub struct SimNet {
     /// `queues[2*e]` carries lo→hi traffic of edge `e`; `queues[2*e+1]`
     /// carries hi→lo.
     queues: Vec<VecDeque<Queued>>,
+    /// The event candidates, one slot each: slot `qi < 2E` counts 1 while
+    /// queue `qi` holds a message with `ready_at <= step`, slot `2E + p`
+    /// counts 1 while node `p` is not dead.
+    ready: CountIndex,
+    /// `(ready_at, queue)` for every copy enqueued with a delay: the
+    /// step at which that queue's slot must be looked at again.
+    wakeups: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Edges whose endpoints both eat while at least one is not dead.
+    live_pairs: usize,
+    /// Set when something outside an event may have changed any queue,
+    /// node, health or meal counter: the next step recounts all of them.
+    stale: bool,
     health: Vec<Health>,
     faults: FaultPlan,
     adversary: LinkAdversary,
@@ -229,6 +251,10 @@ impl SimNet {
             .collect();
         SimNet {
             queues: vec![VecDeque::new(); topo.edge_count() * 2],
+            ready: CountIndex::new(topo.edge_count() * 2 + n),
+            wakeups: BinaryHeap::new(),
+            live_pairs: 0,
+            stale: true,
             nodes,
             health,
             faults,
@@ -328,6 +354,7 @@ impl SimNet {
     /// the monitor detects the violation.
     pub fn inject_phase(&mut self, p: ProcessId, phase: Phase) {
         self.nodes[p.index()].inject_phase(phase);
+        self.stale = true;
     }
 
     /// Attach a heartbeat watchdog: every non-dead node heartbeats each
@@ -474,52 +501,127 @@ impl SimNet {
     pub fn step(&mut self) {
         self.apply_due_faults();
         self.supervisor_tick();
+        let recount = std::mem::take(&mut self.stale);
+        if recount {
+            self.recount();
+        }
+        while let Some(&Reverse((at, qi))) = self.wakeups.peek() {
+            if at > self.step {
+                break;
+            }
+            self.wakeups.pop();
+            self.refresh_queue(qi);
+        }
+        #[cfg(test)]
+        let reference = ScanReference::capture(self);
 
-        // Candidate events: every queue with a ready (delay-expired)
-        // message, plus one tick slot per active node.
-        let mut candidates: Vec<Event> = Vec::new();
-        for (qi, q) in self.queues.iter().enumerate() {
-            if q.iter().any(|m| m.ready_at <= self.step) {
-                candidates.push(Event::Deliver(qi));
+        // One event, drawn uniformly from the candidates; it can change
+        // the phase, health and meal count of one node only.
+        let touched = match self.ready.total() {
+            0 => None,
+            total => {
+                let (slot, _) = self.ready.find(self.rng.gen_range(0..total));
+                Some(self.run_event(self.event_at(slot)))
             }
-        }
-        for p in self.topo.processes() {
-            if !self.is_dead(p) {
-                candidates.push(Event::Turn(p));
-            }
-        }
-        if !candidates.is_empty() {
-            let ev = candidates[self.rng.gen_range(0..candidates.len())];
-            self.execute(ev);
-        }
+        };
 
         // Exclusion monitor.
-        let mut pairs = 0;
-        for &(a, b) in self.topo.edges() {
-            if self.phase_of(a) == Phase::Eating
-                && self.phase_of(b) == Phase::Eating
-                && (!self.is_dead(a) || !self.is_dead(b))
-            {
-                pairs += 1;
-            }
-        }
-        if pairs > 0 {
+        if self.live_pairs > 0 {
             self.violation_steps += 1;
             self.last_violation = Some(self.step);
         }
 
         // Meal log.
-        for p in self.topo.processes() {
-            let m = self.nodes[p.index()].meals();
-            let seen = &mut self.meals_seen[p.index()];
-            while *seen < m {
-                self.meal_log.push((self.step, p));
-                *seen += 1;
+        if recount {
+            for p in 0..self.nodes.len() {
+                self.log_meals(ProcessId(p));
             }
+        } else if let Some(p) = touched {
+            self.log_meals(p);
         }
+        #[cfg(test)]
+        reference.check(self);
 
         self.monitor_tick();
         self.step += 1;
+    }
+
+    /// The candidate event in `slot` of the ready index.
+    fn event_at(&self, slot: usize) -> Event {
+        match slot.checked_sub(self.queues.len()) {
+            None => Event::Deliver(slot),
+            Some(p) => Event::Turn(ProcessId(p)),
+        }
+    }
+
+    /// Execute `ev` and bring the index and the live-pair counter up to
+    /// date at the node it touched, which is returned.
+    fn run_event(&mut self, ev: Event) -> ProcessId {
+        let p = match ev {
+            Event::Deliver(qi) => self.queue_endpoints(qi).1,
+            Event::Turn(p) => p,
+        };
+        let before = self.live_pairs_at(p);
+        self.execute(ev);
+        self.live_pairs = self.live_pairs + self.live_pairs_at(p) - before;
+        let slot = self.queues.len() + p.index();
+        self.ready.set(slot, usize::from(!self.is_dead(p)));
+        p
+    }
+
+    /// Recompute queue `qi`'s slot after it changed or a wake-up fell due.
+    fn refresh_queue(&mut self, qi: usize) {
+        let ready = self.queues[qi].iter().any(|m| m.ready_at <= self.step);
+        self.ready.set(qi, usize::from(ready));
+    }
+
+    /// Eating pairs on `p`'s incident edges with an endpoint not dead.
+    fn live_pairs_at(&self, p: ProcessId) -> usize {
+        if self.phase_of(p) != Phase::Eating {
+            return 0;
+        }
+        let p_dead = self.is_dead(p);
+        self.topo
+            .neighbors(p)
+            .iter()
+            .filter(|&&q| self.phase_of(q) == Phase::Eating && (!p_dead || !self.is_dead(q)))
+            .count()
+    }
+
+    /// Eating pairs with an endpoint not dead, by a scan of every edge.
+    fn live_pairs_scan(&self) -> usize {
+        self.topo
+            .edges()
+            .iter()
+            .filter(|&&(a, b)| {
+                self.phase_of(a) == Phase::Eating
+                    && self.phase_of(b) == Phase::Eating
+                    && (!self.is_dead(a) || !self.is_dead(b))
+            })
+            .count()
+    }
+
+    /// Rebuild every slot of the ready index and the live-pair counter
+    /// from the queues, health and phases.
+    fn recount(&mut self) {
+        for qi in 0..self.queues.len() {
+            self.refresh_queue(qi);
+        }
+        for p in 0..self.nodes.len() {
+            let live = !self.health[p].is_dead();
+            self.ready.set(self.queues.len() + p, usize::from(live));
+        }
+        self.live_pairs = self.live_pairs_scan();
+    }
+
+    /// Log `p`'s meals completed since it was last looked at.
+    fn log_meals(&mut self, p: ProcessId) {
+        let m = self.nodes[p.index()].meals();
+        let seen = &mut self.meals_seen[p.index()];
+        while *seen < m {
+            self.meal_log.push((self.step, p));
+            *seen += 1;
+        }
     }
 
     /// Drive the monitoring plane one step: membership changes abort an
@@ -753,6 +855,7 @@ impl SimNet {
             }
         }
         let due: Vec<_> = self.faults.due_at(self.step).copied().collect();
+        self.stale |= !due.is_empty();
         for ev in due {
             match ev.kind {
                 FaultKind::Crash => self.health[ev.target.index()] = Health::Dead,
@@ -871,6 +974,7 @@ impl SimNet {
         self.health[p.index()] = Health::Live;
         self.meals_seen[p.index()] = node.meals();
         self.nodes[p.index()] = node;
+        self.stale = true;
         let neighbors = self.topo.neighbors(p).to_vec();
         for q in neighbors {
             self.nodes[q.index()].peer_reborn(p);
@@ -893,6 +997,7 @@ impl SimNet {
                     .position(|m| m.ready_at <= step)
                     .expect("queue has a ready message");
                 let queued = q.remove(idx).expect("index in bounds");
+                self.refresh_queue(qi);
                 let msg = queued.msg;
                 let (from, to) = self.queue_endpoints(qi);
                 match self.health[to.index()] {
@@ -1035,6 +1140,9 @@ impl SimNet {
                 stamp,
                 snap,
             };
+            if d.delay > 0 {
+                self.wakeups.push(Reverse((queued.ready_at, qi)));
+            }
             let q = &mut self.queues[qi];
             match d.reorder_key {
                 // Overtake: splice in ahead of some earlier traffic.
@@ -1046,6 +1154,7 @@ impl SimNet {
             }
         }
         self.deliveries = deliveries;
+        self.refresh_queue(qi);
     }
 
     fn queue_endpoints(&self, qi: usize) -> (ProcessId, ProcessId) {
@@ -1059,10 +1168,69 @@ impl SimNet {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Event {
     Deliver(usize),
     Turn(ProcessId),
+}
+
+/// The per-event scans the ready index, the live-pair counter and the
+/// per-node meal log replace, kept as their oracle: every step of every
+/// unit test checks the incremental answers against them.
+#[cfg(test)]
+struct ScanReference {
+    meals_seen: Vec<u64>,
+    logged: usize,
+}
+
+#[cfg(test)]
+impl ScanReference {
+    /// Check the index against the candidate list built by a scan, and
+    /// remember where the meal log stands. Call right before the pick.
+    fn capture(net: &SimNet) -> Self {
+        let mut candidates: Vec<Event> = Vec::new();
+        for (qi, q) in net.queues.iter().enumerate() {
+            if q.iter().any(|m| m.ready_at <= net.step) {
+                candidates.push(Event::Deliver(qi));
+            }
+        }
+        for p in net.topo.processes() {
+            if !net.is_dead(p) {
+                candidates.push(Event::Turn(p));
+            }
+        }
+        let indexed: Vec<Event> = (0..net.ready.total())
+            .map(|k| net.event_at(net.ready.find(k).0))
+            .collect();
+        assert_eq!(indexed, candidates, "step {}: candidate list", net.step);
+        ScanReference {
+            meals_seen: net.meals_seen.clone(),
+            logged: net.meal_log.len(),
+        }
+    }
+
+    /// Check the live-pair counter against an edge scan and the meal log
+    /// entries of this step against a scan of every node.
+    fn check(self, net: &SimNet) {
+        assert_eq!(
+            net.live_pairs,
+            net.live_pairs_scan(),
+            "step {}: live pairs",
+            net.step
+        );
+        let mut expected = Vec::new();
+        for p in net.topo.processes() {
+            for _ in self.meals_seen[p.index()]..net.nodes[p.index()].meals() {
+                expected.push((net.step, p));
+            }
+        }
+        assert_eq!(
+            net.meal_log[self.logged..],
+            expected[..],
+            "step {}: meal log",
+            net.step
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1080,6 +1248,109 @@ mod tests {
         let stats = net.net_stats();
         assert!(stats.sent > 0);
         assert_eq!(stats.dropped + stats.duplicated + stats.corrupted, 0);
+    }
+
+    /// Lockstep oracle for the indexed step: every `step` checks the
+    /// ready index, the live-pair counter and the meal log against the
+    /// scans they replace ([`ScanReference`]). These runs drive every
+    /// path that changes a queue, a node's health or a node's phase:
+    /// link faults, healing partitions, malicious and benign crashes,
+    /// initially dead nodes, transient corruption, plan restarts of all
+    /// three kinds, supervisor rebirths and injected phases.
+    #[test]
+    fn indexed_pick_matches_the_scan_reference() {
+        let noisy = || {
+            AdversaryPlan::new()
+                .loss(100)
+                .duplication(100)
+                .delay(200, 6)
+                .reorder(150)
+        };
+        let mut runs: Vec<(&str, SimNet)> = Vec::new();
+        let mut net = SimNet::with_adversary(
+            Topology::grid(3, 3),
+            FaultPlan::new().malicious_crash(1_500, 4, 8),
+            noisy(),
+            3,
+        );
+        net.enable_monitor(MonitorSetup {
+            epoch_every: 100,
+            ..MonitorSetup::default()
+        });
+        runs.push(("noisy grid, malicious crash, monitored", net));
+        runs.push((
+            "healing partition",
+            SimNet::with_adversary(
+                Topology::ring(5),
+                FaultPlan::none(),
+                noisy().cut_link(0, 1, 1_000, 4_000),
+                5,
+            ),
+        ));
+        runs.push((
+            "initially dead, arbitrary start, transients",
+            SimNet::with_adversary(
+                Topology::line(5),
+                FaultPlan::new()
+                    .initially_dead(2)
+                    .from_arbitrary_state()
+                    .transient_local(2_000, 0)
+                    .transient_global(4_000),
+                noisy(),
+                7,
+            ),
+        ));
+        runs.push((
+            "plan restarts",
+            SimNet::with_adversary(
+                Topology::ring(6),
+                FaultPlan::new()
+                    .crash(1_000, 1)
+                    .restart_fresh(1_800, 1)
+                    .crash(2_000, 3)
+                    .restart_snapshot(2_600, 3, 500)
+                    .malicious_crash(3_000, 5, 4)
+                    .restart_arbitrary(4_000, 5, 99),
+                noisy(),
+                9,
+            ),
+        ));
+        let mut supervised = SimNet::with_adversary(
+            Topology::ring(5),
+            FaultPlan::new().crash(1_000, 2).crash(3_000, 0),
+            noisy(),
+            11,
+        );
+        supervised.supervise(RestartPolicy {
+            probe_timeout: 100,
+            base_backoff: 30,
+            max_backoff: 200,
+            jitter: 5,
+            max_restarts: 4,
+            snapshot_every: 300,
+            resurrection: Resurrection::Snapshot { age: 0 },
+        });
+        runs.push(("supervisor rebirths", supervised));
+        for (label, mut net) in runs {
+            net.run(6_000);
+            assert!(net.step_count() == 6_000, "{label}");
+            assert!(net.meal_log.len() > 10, "{label}: too few meals to check");
+            if label == "supervisor rebirths" {
+                let sup = net.supervisor().expect("supervisor attached");
+                assert!(sup.total_restarts() >= 2, "{label}: no rebirths");
+            }
+        }
+
+        // Injected phases change a node outside any event.
+        let mut net = SimNet::with_adversary(Topology::ring(6), FaultPlan::none(), noisy(), 13);
+        net.run(1_000);
+        for _ in 0..200 {
+            net.inject_phase(ProcessId(0), Phase::Eating);
+            net.inject_phase(ProcessId(1), Phase::Eating);
+            net.step();
+        }
+        assert!(net.violation_steps() > 0, "injection never overlapped");
+        net.run(2_000);
     }
 
     #[test]

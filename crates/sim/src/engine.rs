@@ -29,7 +29,10 @@
 //!   keeps a per-process cache of enabled moves and re-enumerates only
 //!   the *dirty* processes, tracks fairness ages in a dense `Vec` indexed
 //!   by `(pid, kind, slot)`, and maintains the eating-pairs monitor as
-//!   running counters updated on phase transitions.
+//!   running counters updated on phase transitions. A [`CountIndex`] over
+//!   the cache lengths lets a scheduler that needs only the number of
+//!   enabled moves ([`Scheduler::pick_by_count`]) pick in O(log n); every
+//!   other scheduler is handed the age-annotated list as in naive mode.
 //!
 //! Both modes produce bit-identical runs — same `StepOutcome` sequence,
 //! metrics, traces and RNG consumption — which
@@ -42,6 +45,7 @@ use std::hash::Hash;
 use rand::rngs::StdRng;
 
 use crate::algorithm::{ActionId, DinerAlgorithm, Move, Phase, SystemState, View, Write};
+use crate::count_index::CountIndex;
 use crate::fault::{FaultKind, FaultPlan, Health, Resurrection};
 use crate::graph::{ProcessId, Topology};
 use crate::metrics::DinerMetrics;
@@ -457,6 +461,7 @@ impl<A: DinerAlgorithm> EngineBuilder<A> {
             mode: self.mode,
             fault_cursor: 0,
             cache: vec![Vec::new(); n],
+            cache_lens: CountIndex::new(n),
             dirty_mask: vec![true; n],
             dirty: (0..n).collect(),
             ages,
@@ -512,6 +517,8 @@ pub struct Engine<A: DinerAlgorithm> {
     /// Incremental mode: per-process cached enabled moves, in
     /// enumeration order.
     cache: Vec<Vec<Move>>,
+    /// `cache[p].len()` per process, for picks by position.
+    cache_lens: CountIndex,
     /// Which processes need re-enumeration (mask + stack, no dup pushes).
     dirty_mask: Vec<bool>,
     dirty: Vec<usize>,
@@ -880,12 +887,48 @@ impl<A: DinerAlgorithm> Engine<A> {
             fresh.clear();
             self.enumerate_process(ProcessId(i), &mut fresh);
             self.ages.reconcile(&self.cache[i], &fresh, step);
+            self.cache_lens.set(i, fresh.len());
             std::mem::swap(&mut self.cache[i], &mut fresh);
             self.scratch = fresh;
         }
 
-        // Assemble the scheduler's view in the same process-major order
-        // as the naive enumeration, reusing the scratch buffer.
+        let len = self.cache_lens.total();
+        if len == 0 {
+            self.step += 1;
+            self.quiescent += 1;
+            return StepOutcome::Quiescent;
+        }
+
+        // A scheduler that needs only the count names a position in the
+        // process-major list, which the index resolves into the caches;
+        // the others get the list itself, ages attached.
+        let mv = match self.sched.pick_by_count(step, len) {
+            Some(choice) => {
+                assert!(
+                    choice < len,
+                    "scheduler {} returned out-of-range index {choice}",
+                    self.sched.name()
+                );
+                let (p, off) = self.cache_lens.find(choice);
+                self.cache[p][off]
+            }
+            None => self.pick_from_list(step),
+        };
+        self.execute_move(mv);
+        self.ages.evict(mv);
+
+        // Exclusion monitor, from the running counter.
+        self.metrics.on_exclusion_check(step, self.eat_pairs_live);
+
+        self.step += 1;
+        self.executed += 1;
+        StepOutcome::Executed(mv)
+    }
+
+    /// Hand the scheduler the enabled moves with their ages, in the same
+    /// process-major order as the naive enumeration, and return its pick.
+    /// The caches must hold at least one move.
+    fn pick_from_list(&mut self, step: u64) -> Move {
         let mut annotated = std::mem::take(&mut self.annotated);
         annotated.clear();
         for list in &self.cache {
@@ -898,14 +941,6 @@ impl<A: DinerAlgorithm> Engine<A> {
                 });
             }
         }
-
-        if annotated.is_empty() {
-            self.annotated = annotated;
-            self.step += 1;
-            self.quiescent += 1;
-            return StepOutcome::Quiescent;
-        }
-
         let choice = self.sched.pick(step, &annotated);
         assert!(
             choice < annotated.len(),
@@ -914,15 +949,7 @@ impl<A: DinerAlgorithm> Engine<A> {
         );
         let mv = annotated[choice].mv;
         self.annotated = annotated;
-        self.execute_move(mv);
-        self.ages.evict(mv);
-
-        // Exclusion monitor, from the running counter.
-        self.metrics.on_exclusion_check(step, self.eat_pairs_live);
-
-        self.step += 1;
-        self.executed += 1;
-        StepOutcome::Executed(mv)
+        mv
     }
 
     /// Run `steps` steps of simulated time.

@@ -50,6 +50,7 @@
 
 pub mod algorithm;
 pub mod codec;
+pub mod count_index;
 pub mod engine;
 pub mod explore;
 pub mod expose;

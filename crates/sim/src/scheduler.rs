@@ -46,6 +46,23 @@ pub trait Scheduler {
     /// Choose one of the enabled moves.
     fn pick(&mut self, step: u64, enabled: &[EnabledMove]) -> usize;
 
+    /// Choose one of `len` enabled moves (`len > 0`) from their number
+    /// alone, or return `None` to be handed the moves through
+    /// [`Scheduler::pick`] instead (the default).
+    ///
+    /// The incremental engine asks this first. On `Some(k)` it fires the
+    /// `k`-th move of the same process-major list `pick` would see,
+    /// taken straight from its per-process caches, and never builds the
+    /// age-annotated slice. So an override must return `Some` only when
+    /// its choice depends on nothing but `len` (not on the moves, their
+    /// ages or the step), and must consume its state, random draws
+    /// included, exactly as `pick` would on a slice of `len` moves:
+    /// either path then fires the same move. A wrapper that forwards
+    /// `pick` must forward this too, or keep the default.
+    fn pick_by_count(&mut self, _step: u64, _len: usize) -> Option<usize> {
+        None
+    }
+
     /// Scheduler name for reports.
     fn name(&self) -> &str;
 }
@@ -56,6 +73,10 @@ pub trait Scheduler {
 impl Scheduler for Box<dyn Scheduler> {
     fn pick(&mut self, step: u64, enabled: &[EnabledMove]) -> usize {
         (**self).pick(step, enabled)
+    }
+
+    fn pick_by_count(&mut self, step: u64, len: usize) -> Option<usize> {
+        (**self).pick_by_count(step, len)
     }
 
     fn name(&self) -> &str {
@@ -69,8 +90,9 @@ impl Scheduler for Box<dyn Scheduler> {
 #[derive(Clone, Debug, Default)]
 pub struct RoundRobinScheduler {
     cursor: usize,
-    /// Per-process rotation offset among its action instances.
-    rotation: HashMap<ProcessId, usize>,
+    /// Per-process rotation offset among its action instances, indexed
+    /// by pid (grown on demand).
+    rotation: Vec<usize>,
 }
 
 impl RoundRobinScheduler {
@@ -90,14 +112,22 @@ impl Scheduler for RoundRobinScheduler {
             .map(|m| m.mv.pid.index())
             .min_by_key(|&p| (p + modulus - self.cursor % modulus) % modulus)
             .expect("pick called with enabled moves");
-        let of_pid: Vec<usize> = enabled
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.mv.pid.index() == best_pid)
-            .map(|(i, _)| i)
-            .collect();
-        let rot = self.rotation.entry(ProcessId(best_pid)).or_insert(0);
-        let choice = of_pid[*rot % of_pid.len()];
+        // Rotate among `best_pid`'s moves: count them, then walk to the
+        // chosen one.
+        let of_pid = || {
+            enabled
+                .iter()
+                .enumerate()
+                .filter(move |(_, m)| m.mv.pid.index() == best_pid)
+                .map(|(i, _)| i)
+        };
+        if self.rotation.len() <= best_pid {
+            self.rotation.resize(best_pid + 1, 0);
+        }
+        let rot = &mut self.rotation[best_pid];
+        let choice = of_pid()
+            .nth(*rot % of_pid().count())
+            .expect("offset is below the count");
         *rot = rot.wrapping_add(1);
         self.cursor = best_pid + 1;
         choice
@@ -163,6 +193,11 @@ impl RandomScheduler {
 impl Scheduler for RandomScheduler {
     fn pick(&mut self, _step: u64, enabled: &[EnabledMove]) -> usize {
         self.rng.gen_range(0..enabled.len())
+    }
+
+    /// The same uniform draw as `pick`, which needs only the count.
+    fn pick_by_count(&mut self, _step: u64, len: usize) -> Option<usize> {
+        Some(self.rng.gen_range(0..len))
     }
 
     fn name(&self) -> &str {
@@ -469,6 +504,63 @@ mod tests {
         };
         assert_eq!(a, b);
         assert!(a.iter().all(|&i| i < 4));
+    }
+
+    #[test]
+    fn boxed_random_takes_the_count_path_with_the_same_draws() {
+        // The engine holds its scheduler as `Box<dyn Scheduler>`, and
+        // the differential sweeps hand it boxed factories: the forwarding
+        // impl must reach `RandomScheduler`'s override, not the default.
+        let e = moves(&[0, 1, 2, 3, 4, 5, 6]);
+        let mut plain = RandomScheduler::new(11);
+        let mut boxed: Box<dyn Scheduler> = Box::new(RandomScheduler::new(11));
+        for st in 0..64 {
+            let want = plain.pick(st, &e);
+            let got = <Box<dyn Scheduler> as Scheduler>::pick_by_count(&mut boxed, st, e.len());
+            assert_eq!(got, Some(want), "step {st}");
+        }
+        let mut other: Box<dyn Scheduler> = Box::new(LeastRecentScheduler::new());
+        assert_eq!(
+            <Box<dyn Scheduler> as Scheduler>::pick_by_count(&mut other, 0, e.len()),
+            None,
+            "slice-only schedulers keep the default"
+        );
+    }
+
+    #[test]
+    fn round_robin_visits_pids_past_the_cursor_and_rotates_per_pid() {
+        // Three processes with one, two and three moves, listed out of
+        // pid order: picks follow pid order from the cursor, and each
+        // process rotates through its own moves independently.
+        let e = vec![
+            EnabledMove {
+                mv: mv(2, 0),
+                age: 1,
+            },
+            EnabledMove {
+                mv: mv(0, 0),
+                age: 1,
+            },
+            EnabledMove {
+                mv: mv(2, 1),
+                age: 1,
+            },
+            EnabledMove {
+                mv: mv(1, 0),
+                age: 1,
+            },
+            EnabledMove {
+                mv: mv(2, 2),
+                age: 1,
+            },
+            EnabledMove {
+                mv: mv(1, 1),
+                age: 1,
+            },
+        ];
+        let mut s = RoundRobinScheduler::new();
+        let picks: Vec<usize> = (0..9).map(|st| s.pick(st, &e)).collect();
+        assert_eq!(picks, vec![1, 3, 0, 1, 5, 2, 1, 3, 4]);
     }
 
     #[test]
